@@ -186,7 +186,9 @@ func moduleRoot() (dir, module string, err error) {
 }
 
 // expand resolves ./pkg and ./... style patterns to package directories,
-// skipping testdata fixtures, vendored code, and dot-directories.
+// skipping testdata fixtures, vendored code, dot-directories, and nested
+// modules (a directory with its own go.mod), which `go vet ./...` leaves
+// out as well.
 func expand(root string, patterns []string) ([]string, error) {
 	set := map[string]bool{}
 	for _, pat := range patterns {
@@ -214,6 +216,9 @@ func expand(root string, patterns []string) ([]string, error) {
 			}
 			name := d.Name()
 			if path != base && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			if path != base && fileExists(filepath.Join(path, "go.mod")) {
 				return filepath.SkipDir
 			}
 			if hasGoFiles(path) {
@@ -244,4 +249,9 @@ func hasGoFiles(dir string) bool {
 		}
 	}
 	return false
+}
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }

@@ -444,6 +444,46 @@ func (c *Communicator) recvStream(from, tag int) *recvStream {
 	return s
 }
 
+// release drops the per-peer stream state of tag once the collective that
+// owns it has returned. Tags are unique per (op, step), so without this
+// the sends/recvs maps would grow with the number of steps run. Reusing an
+// (op, step) for a later collective stays correct on the FIFO fabrics: a
+// peer finishes sending under the tag before it can start the next
+// collective, so both sides restart the stream's sequence at zero together.
+func (c *Communicator) release(tag int) {
+	n := c.t.Size()
+	c.streamMu.Lock()
+	defer c.streamMu.Unlock()
+	for p := 0; p < n; p++ {
+		k := streamKey{p, tag}
+		delete(c.sends, k)
+		delete(c.recvs, k)
+	}
+}
+
+// LiveStreams returns the number of per-(peer, tag) send and receive
+// sequence streams the Communicator holds. Collectives release theirs on
+// return, so between collectives the count covers only point-to-point
+// streams not yet Released — the figure a leak check reads.
+func (c *Communicator) LiveStreams() int {
+	c.streamMu.Lock()
+	defer c.streamMu.Unlock()
+	return len(c.sends) + len(c.recvs)
+}
+
+// Release drops the stream state of (op, step) for point-to-point users of
+// Send and Recv — protocols like serving's control channel, whose every
+// (op, step) carries one message per peer. Call it on every rank once the
+// protocol is done with the step; collectives release their own tags.
+func (c *Communicator) Release(op string, step int) error {
+	tag, err := c.Tag(op, step)
+	if err != nil {
+		return err
+	}
+	c.release(tag)
+	return nil
+}
+
 // fault reports a fault event to the observer, when it cares.
 func (c *Communicator) fault(op, kind string, masked bool) {
 	if c.faults != nil {
@@ -573,7 +613,8 @@ func (c *Communicator) recvRaw(op string, from, tag int) (any, error) {
 
 // Send delivers payload to rank `to` under the tag of (op, step) — the
 // point-to-point escape hatch for protocols (like coord's negotiation) that
-// need raw messaging inside a Communicator-allocated tag range.
+// need raw messaging inside a Communicator-allocated tag range. The stream
+// state of a point-to-point (op, step) lives until Release.
 func (c *Communicator) Send(op string, step, to int, payload any) error {
 	tag, err := c.Tag(op, step)
 	if err != nil {
@@ -715,6 +756,7 @@ func (c *Communicator) AllReduceWith(op string, step int, buf []float32, rop Red
 	if err != nil {
 		return err
 	}
+	defer c.release(tag)
 	return c.ringAllReduce(op, tag, buf, rop)
 }
 
@@ -726,6 +768,7 @@ func (c *Communicator) ReduceScatter(op string, step int, buf []float32) (lo, hi
 	if err != nil {
 		return 0, 0, err
 	}
+	defer c.release(tag)
 	return c.ringReduceScatter(op, tag, buf, Sum)
 }
 
@@ -772,6 +815,7 @@ func (c *Communicator) Broadcast(op string, step, root int, buf []float32) error
 	if err != nil {
 		return err
 	}
+	defer c.release(tag)
 	return broadcastOn(c, op, tag, root, buf)
 }
 
@@ -809,6 +853,7 @@ func (c *Communicator) Barrier(op string, step int) error {
 	if err != nil {
 		return err
 	}
+	defer c.release(tag)
 	return barrierOn(c, op, tag)
 }
 
@@ -854,6 +899,7 @@ func AllGatherVia[T any](c *Communicator, op string, step int, local T) ([]T, er
 	if err != nil {
 		return nil, err
 	}
+	defer c.release(tag)
 	return allGatherOn(c, op, tag, local)
 }
 
@@ -897,6 +943,7 @@ func AllToAllVia[T any](c *Communicator, op string, step int, send []T) ([]T, er
 	if err != nil {
 		return nil, err
 	}
+	defer c.release(tag)
 	return allToAllOn(c, op, tag, send)
 }
 
@@ -935,6 +982,7 @@ func GatherVia[T any](c *Communicator, op string, step, root int, local T) ([]T,
 	if err != nil {
 		return nil, err
 	}
+	defer c.release(tag)
 	return gatherOn(c, op, tag, root, local)
 }
 

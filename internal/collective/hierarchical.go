@@ -50,11 +50,13 @@ func (c *Communicator) HierarchicalAllReduce(op string, step, workersPerNode int
 	if err != nil {
 		return err
 	}
+	defer c.release(reduceTag)
 	bcastOp := op + hierOpBcast
 	bcastTag, err := c.Tag(bcastOp, step)
 	if err != nil {
 		return err
 	}
+	defer c.release(bcastTag)
 
 	// Phase 1: intra-node reduce to the leader.
 	if r == leader {
@@ -91,6 +93,7 @@ func (c *Communicator) HierarchicalAllReduce(op string, step, workersPerNode int
 		if err != nil {
 			return err
 		}
+		defer c.release(interTag)
 		if err := c.leaderRingAllReduce(interOp, interTag, workersPerNode, buf); err != nil {
 			return err
 		}

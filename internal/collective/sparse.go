@@ -209,6 +209,7 @@ func (c *Communicator) AlltoAllSparse(op string, step int, send []*tensor.Sparse
 	if err != nil {
 		return err
 	}
+	defer c.release(tag)
 	numRows, dim := send[r].NumRows, send[r].Dim
 
 	// Send phase: every peer gets a header, then — when non-empty — the
@@ -315,6 +316,7 @@ func (c *Communicator) AlltoAllSparseCodec(op string, step int, send []*tensor.S
 	if err != nil {
 		return err
 	}
+	defer c.release(tag)
 	numRows, dim := send[r].NumRows, send[r].Dim
 
 	// Send phase: header, then — when non-empty — one encoded payload drawn

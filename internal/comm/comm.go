@@ -102,8 +102,22 @@ type SeqFrame struct {
 // keeps senders from blocking on slow receivers.
 const mailboxBuffer = 64
 
+// maxFreeBoxes caps the drained mailboxes a set keeps for reuse: enough to
+// cover the tags live within one training step, so steady-state traffic
+// recycles channels instead of allocating one per message stream.
+const maxFreeBoxes = 256
+
 type mailboxKey struct {
 	from, tag int
+}
+
+// mailbox is the FIFO of one (sender, tag) envelope plus the number of
+// goroutines holding it: senders between acquiring the box and finishing
+// their enqueue, receivers between acquiring it and finishing their dequeue.
+// Both counts change only under the set's mutex.
+type mailbox struct {
+	ch    chan any
+	users int
 }
 
 // mailboxSet is the demultiplexer shared by every transport implementation:
@@ -112,9 +126,18 @@ type mailboxKey struct {
 // failure model: per-peer down markers (set when a peer is known dead) and
 // an optional receive timeout, so a blocked receiver fails with ErrPeerDown
 // or ErrTimeout instead of hanging until the whole world closes.
+//
+// Tags are unique per (op, step), so a box left in the map after its
+// messages are consumed would never be used again and memory would grow
+// with the number of steps run. A box is therefore removed as soon as it is
+// both drained and unheld (see release), and the next message under its key
+// starts a fresh one. Because every sender and receiver holds the box it
+// works on, a box is never removed while someone could still enqueue into
+// it: no message can land in an orphaned channel.
 type mailboxSet struct {
 	mu    sync.Mutex
-	boxes map[mailboxKey]chan any
+	boxes map[mailboxKey]*mailbox
+	free  []*mailbox // drained, unheld boxes kept for reuse
 	peers map[int]*peerState
 
 	// closedCh is closed by closeAll. Teardown signals through it instead of
@@ -140,27 +163,51 @@ type peerState struct {
 
 func newMailboxSet() *mailboxSet {
 	return &mailboxSet{
-		boxes:    make(map[mailboxKey]chan any),
+		boxes:    make(map[mailboxKey]*mailbox),
 		peers:    make(map[int]*peerState),
 		closedCh: make(chan struct{}),
 	}
 }
 
-// box returns (creating if needed) the channel for (from, tag), or nil if
-// the set has been closed.
-func (m *mailboxSet) box(from, tag int) chan any {
+// acquire returns (creating if needed) the box for key with the caller
+// registered as one of its users, or nil if the set has been closed. Every
+// acquire is paired with a release once the caller is done with the box.
+func (m *mailboxSet) acquire(key mailboxKey) *mailbox {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.boxes == nil {
 		return nil
 	}
-	key := mailboxKey{from: from, tag: tag}
-	ch, ok := m.boxes[key]
+	b, ok := m.boxes[key]
 	if !ok {
-		ch = make(chan any, mailboxBuffer)
-		m.boxes[key] = ch
+		if n := len(m.free); n > 0 {
+			b = m.free[n-1]
+			m.free[n-1] = nil
+			m.free = m.free[:n-1]
+		} else {
+			b = &mailbox{ch: make(chan any, mailboxBuffer)}
+		}
+		m.boxes[key] = b
 	}
-	return ch
+	b.users++
+	return b
+}
+
+// release drops the caller's hold on b. The last user of a drained box
+// removes it from the set: with no holder left nobody can enqueue into it,
+// and an empty channel carries no message, so the next acquire under key
+// safely starts from a fresh (or recycled) box.
+func (m *mailboxSet) release(key mailboxKey, b *mailbox) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	b.users--
+	if b.users > 0 || len(b.ch) > 0 || m.boxes == nil {
+		return
+	}
+	delete(m.boxes, key)
+	if len(m.free) < maxFreeBoxes {
+		m.free = append(m.free, b)
+	}
 }
 
 // deliver enqueues payload for (from, tag). It reports false if the set is
@@ -168,12 +215,14 @@ func (m *mailboxSet) box(from, tag int) chan any {
 // set closes underneath it — late stragglers observe teardown through
 // closedCh rather than panicking on a closed channel.
 func (m *mailboxSet) deliver(from, tag int, payload any) bool {
-	ch := m.box(from, tag)
-	if ch == nil {
+	key := mailboxKey{from: from, tag: tag}
+	b := m.acquire(key)
+	if b == nil {
 		return false
 	}
+	defer m.release(key, b)
 	select {
-	case ch <- payload:
+	case b.ch <- payload:
 		return true
 	case <-m.closedCh:
 		return false
@@ -249,10 +298,13 @@ func (m *mailboxSet) setTimeout(d time.Duration) {
 // drained before a down marker is honored, so a peer's final sends are
 // never lost to its own death notice.
 func (m *mailboxSet) receive(from, tag int) (any, error) {
-	ch := m.box(from, tag)
-	if ch == nil {
+	key := mailboxKey{from: from, tag: tag}
+	b := m.acquire(key)
+	if b == nil {
 		return nil, ErrClosed
 	}
+	defer m.release(key, b)
+	ch := b.ch
 	// Fast path: queued messages win over down markers and timeouts.
 	select {
 	case payload := <-ch:
@@ -304,6 +356,7 @@ func (m *mailboxSet) closeAll() {
 		return
 	}
 	m.boxes = nil
+	m.free = nil
 	m.peers = nil
 	close(m.closedCh)
 }
@@ -358,6 +411,21 @@ func (w *World) Close() {
 	for _, r := range w.ranks {
 		r.mail.closeAll()
 	}
+}
+
+// LiveMailboxes returns the number of (sender, tag) mailboxes currently
+// held across every rank: those with undelivered messages or a sender or
+// receiver at work. Drained boxes are reclaimed, so a quiescent world
+// reports zero however many steps it has run — the figure a leak check
+// reads.
+func (w *World) LiveMailboxes() int {
+	n := 0
+	for _, r := range w.ranks {
+		r.mail.mu.Lock()
+		n += len(r.mail.boxes)
+		r.mail.mu.Unlock()
+	}
+	return n
 }
 
 // SetRecvTimeout bounds every rank's blocking receives; zero disables.

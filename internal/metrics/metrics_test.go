@@ -45,7 +45,9 @@ func TestTransportCountsTraffic(t *testing.T) {
 	if m0.Rank() != 0 || m0.Size() != 2 {
 		t.Fatal("wrapper must forward rank/size")
 	}
+	sent := make(chan struct{})
 	go func() {
+		defer close(sent)
 		_ = m0.Send(1, 1, []float32{1, 2, 3, 4})
 		_ = m0.Send(1, 1, []float32{5})
 	}()
@@ -54,6 +56,9 @@ func TestTransportCountsTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A receive can complete before the sender's Send has returned and
+	// counted the message, so join the sender before reading its stats.
+	<-sent
 	st := m0.Stats()
 	if st.Messages != 2 {
 		t.Fatalf("messages = %d", st.Messages)

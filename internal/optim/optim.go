@@ -172,11 +172,27 @@ func NewAdamDefault(param *tensor.Dense, lr float32) *Adam {
 // Step returns the number of completed optimization steps.
 func (o *Adam) Step() int { return o.step }
 
-func (o *Adam) updateElem(i int, g float32, stepLR float32) {
-	md, vd := o.m.Data(), o.v.Data()
-	md[i] = o.beta1*md[i] + (1-o.beta1)*g
-	vd[i] = o.beta2*vd[i] + (1-o.beta2)*g*g
-	o.param.Data()[i] -= stepLR * md[i] / (float32(math.Sqrt(float64(vd[i]))) + o.eps)
+// adamKernel applies one Adam update to a contiguous run of elements: grad
+// updates the moments m and v and the parameter slice param, all of the
+// same length. The hyperparameters arrive hoisted out of the loop and every
+// expression is evaluated exactly as written, so the dense step and every
+// sparse row share one bit-identical element update.
+//
+//embrace:hotpath
+func adamKernel(param, m, v, grad []float32, beta1, beta2, eps, stepLR float32) {
+	param, m, v = param[:len(grad)], m[:len(grad)], v[:len(grad)]
+	for i, g := range grad {
+		m[i] = beta1*m[i] + (1-beta1)*g
+		v[i] = beta2*v[i] + (1-beta2)*g*g
+		param[i] -= stepLR * m[i] / (float32(math.Sqrt(float64(v[i]))) + eps)
+	}
+}
+
+// update runs adamKernel over the elements [off, off+len(grad)).
+func (o *Adam) update(off int, grad []float32, stepLR float32) {
+	end := off + len(grad)
+	adamKernel(o.param.Data()[off:end], o.m.Data()[off:end], o.v.Data()[off:end], grad,
+		o.beta1, o.beta2, o.eps, stepLR)
 }
 
 // stepLR folds the bias corrections of step t into the learning rate.
@@ -191,10 +207,7 @@ func (o *Adam) StepDense(grad *tensor.Dense) error {
 		return err
 	}
 	o.step++
-	lr := o.stepLR(o.step)
-	for i, g := range grad.Data() {
-		o.updateElem(i, g, lr)
-	}
+	o.update(0, grad.Data(), o.stepLR(o.step))
 	return nil
 }
 
@@ -215,11 +228,7 @@ func (o *Adam) StepSparsePartial(grad *tensor.Sparse, final bool) error {
 	lr := o.stepLR(step)
 	c := grad.Coalesce()
 	for r, ix := range c.Indices {
-		base := int(ix) * c.Dim
-		row := c.Row(r)
-		for j, g := range row {
-			o.updateElem(base+j, g, lr)
-		}
+		o.update(int(ix)*c.Dim, c.Row(r), lr)
 	}
 	if final {
 		o.step = step

@@ -734,6 +734,9 @@ func (c *Cluster) broadcastCtl(n *node, kind int) error {
 			first = err
 		}
 	}
+	if err := n.cm.Release("serve/ctl", st); err != nil && first == nil {
+		first = err
+	}
 	return first
 }
 
@@ -823,6 +826,10 @@ func (c *Cluster) followerLoop(n *node) {
 			return
 		}
 		n.ctlSeq++
+		if err := n.cm.Release("serve/ctl", st); err != nil {
+			c.fail(fmt.Errorf("serve: rank %d plane %d ctl: %w", n.rank, n.plane, err))
+			return
+		}
 		kind, ok := payload.(int)
 		if !ok {
 			c.fail(fmt.Errorf("serve: rank %d plane %d: ctl payload %T", n.rank, n.plane, payload))

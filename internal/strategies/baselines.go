@@ -21,6 +21,7 @@ type replicaWorker struct {
 	model     *nn.Model
 	trunkOpts map[string]optim.Optimizer
 	embOpt    optim.Optimizer
+	trunk     nn.TrunkScratch // reused trunk activations and gradients
 }
 
 func newReplicaWorker(cm *collective.Communicator, cfg Config, rec *trace.Recorder) *replicaWorker {
@@ -38,7 +39,7 @@ func newReplicaWorker(cm *collective.Communicator, cfg Config, rec *trace.Record
 // modelStep runs the replica's fused forward/backward under a span.
 func (w *replicaWorker) modelStep(step int, windows [][]int64, targets []int64) (nn.StepStats, *tensor.Sparse, *nn.TrunkGrads, error) {
 	sp := w.rec.Begin(trace.TrackCompute, SpanFPBP, step)
-	stats, embGrad, grads, err := w.model.Step(windows, targets)
+	stats, embGrad, grads, err := w.model.StepInto(windows, targets, &w.trunk)
 	sp.End()
 	return stats, embGrad, grads, err
 }

@@ -57,10 +57,12 @@ type embraceWorker struct {
 
 // hotScratch owns every reusable buffer of the steady-state step: the raw
 // sparse gradient, the per-shard column slices, the prior/delayed split, the
-// sorted next-batch sets, the exchange arenas and the coalesce targets. Each
-// buffer grows to its high-water mark on the first step and is then reused,
-// so steady-state gradient packing, splitting, exchanging and coalescing
-// allocate nothing — the discipline the hotalloc analyzer enforces.
+// sorted next-batch sets, the exchange arenas, the coalesce targets, and the
+// trunk's activations and gradients. Each buffer grows to its high-water
+// mark on the first step and is then reused, so steady-state trunk
+// forward/backward and gradient packing, splitting, exchanging and
+// coalescing allocate nothing — the discipline the hotalloc analyzer
+// enforces.
 //
 // The background delayed exchange overlaps the next step's foreground, so it
 // gets its own arena and coalesce scratch (bg*); harvestDelayed joins the
@@ -92,6 +94,9 @@ type hotScratch struct {
 	bgArena collective.SparseShards // background delayed exchange
 	bgCoal  tensor.Sparse
 	bgSort  tensor.SortScratch
+
+	pooled tensor.Dense    // this rank's assembled full-width pooled batch
+	trunk  nn.TrunkScratch // trunk activations, logit gradients, trunk gradients
 }
 
 // init sizes the fixed-world-size slices once; everything else grows lazily.
@@ -210,7 +215,8 @@ func (w *embraceWorker) Step(step int, windows [][]int64, targets []int64, nextT
 	if err != nil {
 		return nn.StepStats{}, fmt.Errorf("embedding data alltoall: %w", err)
 	}
-	pooled := tensor.NewDense(len(windows), w.cfg.EmbDim)
+	pooled := &h.pooled
+	pooled.Reuse(len(windows), w.cfg.EmbDim)
 	for s := 0; s < n; s++ {
 		part := colParts[s] // my batch's columns owned by shard s
 		if part.Dim(0) != len(windows) || part.Dim(1) != w.dimShard {
@@ -226,14 +232,14 @@ func (w *embraceWorker) Step(step int, windows [][]int64, targets []int64, nextT
 
 	// (3) Dense trunk forward/backward + ring AllReduce (hybrid comm).
 	sp = w.rec.Begin(trace.TrackCompute, SpanFP, step)
-	loss, cache, err := w.trunk.Forward(pooled, targets)
+	loss, cache, err := w.trunk.ForwardInto(pooled, targets, &h.trunk)
 	if err != nil {
 		return nn.StepStats{}, err
 	}
 	sp.End()
 	stats := nn.StepStats{Loss: loss, Correct: cache.Correct(), Count: len(targets)}
 	sp = w.rec.Begin(trace.TrackCompute, SpanBP, step)
-	grads := w.trunk.Backward(cache)
+	grads := w.trunk.BackwardInto(cache, &h.trunk)
 	sp.End()
 	for _, g := range grads.Dense() {
 		sp := w.rec.Begin(trace.TrackCompute, SpanDense(g.Name), step)

@@ -2,6 +2,7 @@ package strategies
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -111,11 +112,14 @@ func TestEmbRaceChaosTrainingEquivalenceAcrossWorldSizes(t *testing.T) {
 	}
 }
 
-// measureStepAllocs runs a single-rank EmbRace world, warms the scratch
-// buffers up, and returns the steady-state allocations per Step call.
-func measureStepAllocs(t *testing.T, cfg Config) float64 {
+// measureStep runs a single-rank EmbRace world, warms the scratch buffers
+// up, and returns the steady-state allocations and allocated bytes per Step
+// call. Bytes come from the runtime's cumulative TotalAlloc, so they count
+// what AllocsPerRun cannot tell apart: one 1 MB gradient tensor and one
+// 16-byte header are both "one allocation".
+func measureStep(t *testing.T, cfg Config) (allocs, bytes float64) {
 	t.Helper()
-	var got float64
+	const runs = 30
 	err := comm.RunRanks(1, func(tr comm.Transport) error {
 		w, err := NewWorker(EmbRace, collective.NewCommunicator(tr), cfg, nil)
 		if err != nil {
@@ -133,34 +137,130 @@ func measureStepAllocs(t *testing.T, cfg Config) float64 {
 		for i := 0; i < 3; i++ { // grow every buffer to its high-water mark
 			do()
 		}
-		got = testing.AllocsPerRun(30, do)
+		allocs = testing.AllocsPerRun(runs, do)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			do()
+		}
+		runtime.ReadMemStats(&after)
+		bytes = float64(after.TotalAlloc-before.TotalAlloc) / runs
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got
+	return allocs, bytes
 }
 
 // Steady-state alloc budgets for a full EmbRace step. The sparse hot path —
-// gradient build, column packing, split, exchange, coalesce, update — now
-// allocates nothing; what remains is the step's fixed overhead (collective
-// out-slices, trunk gradient tensors, the per-step background goroutine and
-// its join channel). The budgets are regression tripwires a little above the
-// measured counts: reintroducing even one per-row or per-shard allocation in
-// the sparse path shows up as tens of allocations and trips them.
+// gradient build, column packing, split, exchange, coalesce, update — and
+// the trunk's forward/backward (nn.TrunkScratch) allocate nothing; what
+// remains is the step's fixed overhead (collective out-slices, the
+// shard-side pooled lookups that travel by reference, the per-step
+// background goroutine and its join channel). The budgets are regression
+// tripwires a little above the measured counts: reintroducing even one
+// per-row or per-shard allocation in the sparse path shows up as tens of
+// allocations and trips them.
+//
+// The byte budget pins the trunk at zero bytes: with a 2048-word vocabulary
+// a single reallocated vocabulary-wide trunk buffer (probabilities, logit
+// gradients, or the 64 KB W2 gradient) costs at least 16 KB per step, far
+// above the under-1 KB the fixed overhead takes, while the object count would
+// move by only one. Before the trunk moved onto scratch, the step allocated
+// about 100 KB here.
 func TestEmbRaceStepSteadyStateAllocBudget(t *testing.T) {
 	base := Config{
 		Seed: 3, Vocab: 36, EmbDim: 8, Hidden: 4,
 		Optimizer: OptAdam, LR: 0.05, PSServers: 1,
 	}
 	noSched := base
-	if got := measureStepAllocs(t, noSched); got > 80 {
+	if got, _ := measureStep(t, noSched); got > 80 {
 		t.Errorf("no-sched steady-state step makes %v allocations, budget 80", got)
 	}
 	sched := base
 	sched.Sched = Sched2D
-	if got := measureStepAllocs(t, sched); got > 90 {
+	if got, _ := measureStep(t, sched); got > 90 {
 		t.Errorf("sched2d steady-state step makes %v allocations, budget 90", got)
+	}
+
+	wide := sched
+	wide.Vocab, wide.Hidden = 2048, 8
+	allocs, bytes := measureStep(t, wide)
+	t.Logf("vocab %d hidden %d: %.0f allocs, %.0f bytes per step", wide.Vocab, wide.Hidden, allocs, bytes)
+	if bytes > 4<<10 {
+		t.Errorf("wide-vocab steady-state step allocates %.0f bytes, budget %d", bytes, 4<<10)
+	}
+}
+
+// Per-(peer, tag) transport and sequence state must be reclaimed as the
+// collectives finish with it. Tags are unique per (op, step), so any state
+// kept per tag grows with the number of steps run; here a 4-rank EmbRace
+// world runs 200 steps and the live mailbox and stream counts must stay
+// under a bound that does not depend on the step count while training, and
+// drop to zero once the world is quiescent.
+func TestEmbRaceTagStateReclaimed(t *testing.T) {
+	const (
+		n     = 4
+		steps = 200
+		// A step keeps a handful of tags live per rank pair, and the
+		// delayed exchange overlaps the next step: far below what 200
+		// steps of leaked per-tag state would add up to.
+		liveBound = 256
+	)
+	cfg := Config{
+		Seed: 3, Vocab: 36, EmbDim: 24, Hidden: 4,
+		Optimizer: OptAdam, LR: 0.05, Sched: Sched2D, PSServers: 1,
+	}
+	world, err := comm.NewWorld(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer world.Close()
+	cms := make([]*collective.Communicator, n)
+	errs := make([]error, n)
+	var peak int
+	var wg sync.WaitGroup
+	for r := 0; r < n; r++ {
+		cms[r] = collective.NewCommunicator(world.Rank(r))
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			errs[r] = func() error {
+				w, err := NewWorker(EmbRace, cms[r], cfg, nil)
+				if err != nil {
+					return err
+				}
+				for s := 0; s < steps; s++ {
+					windows, targets := batchFor(r, s, cfg.Vocab)
+					nextWindows, _ := batchFor(r, s+1, cfg.Vocab)
+					if _, err := w.Step(s, windows, targets, flatten(nextWindows)); err != nil {
+						return err
+					}
+					if r == 0 {
+						peak = max(peak, world.LiveMailboxes())
+					}
+				}
+				_, err = w.FullEmbedding()
+				return err
+			}()
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	if peak > liveBound {
+		t.Errorf("live mailboxes peaked at %d during %d steps, bound %d", peak, steps, liveBound)
+	}
+	if got := world.LiveMailboxes(); got != 0 {
+		t.Errorf("%d mailboxes still live after the run, want 0", got)
+	}
+	for r, cm := range cms {
+		if got := cm.LiveStreams(); got != 0 {
+			t.Errorf("rank %d: %d sequence streams still live after the run, want 0", r, got)
+		}
 	}
 }

@@ -195,3 +195,24 @@ func (s *Sparse) ColumnSliceInto(lo, hi int, dst *Sparse) {
 		dst.Vals = append(dst.Vals, s.Vals[i*srcDim+lo:i*srcDim+hi]...)
 	}
 }
+
+// Reuse reshapes t in place to shape, keeping its backing array when it is
+// large enough and growing it to the high-water mark otherwise. The element
+// values are unspecified afterwards: callers overwrite or Zero them. It is
+// the dense counterpart of the Sparse Into-variants' destination reuse.
+func (t *Dense) Reuse(shape ...int) {
+	n := 1
+	for _, d := range shape {
+		if d < 0 {
+			// The shape itself stays out of the message: formatting it
+			// would make every caller's variadic slice escape.
+			panic(fmt.Sprintf("tensor: negative dimension %d", d))
+		}
+		n *= d
+	}
+	t.shape = append(t.shape[:0], shape...)
+	if cap(t.data) < n {
+		t.data = make([]float32, n)
+	}
+	t.data = t.data[:n]
+}

@@ -612,6 +612,9 @@ func elasticRankLoop(spec epochSpec, raw comm.Transport, shared *strategies.Shar
 			}
 			decision = d
 		}
+		if err := cm.Release(opElasticCtl, s); err != nil {
+			return err
+		}
 		if decision == ctlContinue {
 			continue
 		}
