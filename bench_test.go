@@ -4,7 +4,6 @@
 package embrace_test
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -12,8 +11,6 @@ import (
 	"embrace"
 	"embrace/internal/collective"
 	"embrace/internal/comm"
-	"embrace/internal/compress"
-	"embrace/internal/coord"
 	"embrace/internal/sched"
 	"embrace/internal/tensor"
 	"embrace/internal/trace"
@@ -269,20 +266,6 @@ func BenchmarkPartitionAblation(b *testing.B) { benchExperiment(b, "partition") 
 
 func BenchmarkGiantModelExtension(b *testing.B) { benchExperiment(b, "giant") }
 
-func BenchmarkHierarchicalAllReduce8x64K(b *testing.B) {
-	const ranks, elems = 8, 65536
-	b.SetBytes(int64(elems * tensor.BytesPerElem))
-	for i := 0; i < b.N; i++ {
-		err := comm.RunRanks(ranks, func(t comm.Transport) error {
-			buf := make([]float32, elems)
-			return collective.NewCommunicator(t).HierarchicalAllReduce("bench/hier", 0, 4, buf)
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkTCPRingAllReduce4x16K(b *testing.B) {
 	const ranks, elems = 4, 16384
 	b.SetBytes(int64(elems * tensor.BytesPerElem))
@@ -292,66 +275,6 @@ func BenchmarkTCPRingAllReduce4x16K(b *testing.B) {
 			return collective.NewCommunicator(t).AllReduce("bench/allreduce", 0, buf)
 		})
 		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCoordNegotiation(b *testing.B) {
-	const ranks, ops = 4, 16
-	for i := 0; i < b.N; i++ {
-		err := comm.RunRanks(ranks, func(t comm.Transport) error {
-			c, err := coord.NewOn(collective.NewCommunicator(t), "bench", ops)
-			if err != nil {
-				return err
-			}
-			go func() {
-				for k := 0; k < ops; k++ {
-					_ = c.Announce(coord.Op{ID: fmt.Sprint(k), Priority: k % 3})
-				}
-			}()
-			for {
-				_, ok, err := c.Next()
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-			}
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTopKCompress(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	src := make([]float32, 65536)
-	for i := range src {
-		src[i] = rng.Float32()
-	}
-	c := compress.TopK{K: 1024}
-	b.SetBytes(int64(len(src) * tensor.BytesPerElem))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Compress(src); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkQ8Compress(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	src := make([]float32, 65536)
-	for i := range src {
-		src[i] = rng.Float32()
-	}
-	b.SetBytes(int64(len(src) * tensor.BytesPerElem))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (compress.Q8{}).Compress(src); err != nil {
 			b.Fatal(err)
 		}
 	}

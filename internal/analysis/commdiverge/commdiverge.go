@@ -52,16 +52,14 @@ type argIdx struct{ op, step int }
 // collectiveMethods are Communicator methods that rendezvous all ranks.
 // sendRaw/recvRaw/Send/Recv are deliberately absent.
 var collectiveMethods = map[string]argIdx{
-	"AllReduce":             {0, 1},
-	"AllReduceWith":         {0, 1},
-	"ReduceScatter":         {0, 1},
-	"Broadcast":             {0, 1},
-	"Barrier":               {0, 1},
-	"SparseAllGather":       {0, 1},
-	"SparseAllToAll":        {0, 1},
-	"AlltoAllSparse":        {0, 1},
-	"AlltoAllSparseCodec":   {0, 1},
-	"HierarchicalAllReduce": {0, 1},
+	"AllReduce":           {0, 1},
+	"AllReduceWith":       {0, 1},
+	"ReduceScatter":       {0, 1},
+	"Broadcast":           {0, 1},
+	"Barrier":             {0, 1},
+	"SparseAllGather":     {0, 1},
+	"AlltoAllSparse":      {0, 1},
+	"AlltoAllSparseCodec": {0, 1},
 }
 
 // collectiveFuncs are package-level collective entry points.

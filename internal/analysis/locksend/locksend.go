@@ -40,8 +40,7 @@ var communicatorMethods = map[string]bool{
 	"Send": true, "Recv": true,
 	"AllReduce": true, "AllReduceWith": true, "ReduceScatter": true,
 	"Broadcast": true, "Barrier": true,
-	"SparseAllGather": true, "SparseAllToAll": true,
-	"HierarchicalAllReduce": true,
+	"SparseAllGather": true, "AlltoAllSparse": true, "AlltoAllSparseCodec": true,
 }
 
 // collectiveFuncs are the blocking package-level collectives (current and

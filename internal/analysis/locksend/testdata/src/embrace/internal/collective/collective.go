@@ -19,6 +19,25 @@ func (c *Communicator) AllReduce(op string, step int, buf []float64) {}
 // Barrier blocks until every rank participates.
 func (c *Communicator) Barrier(op string, step int) {}
 
+// SparseShards is the receive arena of the sparse exchange.
+type SparseShards struct{}
+
+// SparseCodec is a sparse-shard wire codec.
+type SparseCodec interface{}
+
+// RowClass tags the rows of a codec exchange.
+type RowClass int
+
+// AlltoAllSparse blocks until every peer's shard has arrived.
+func (c *Communicator) AlltoAllSparse(op string, step int, send [][]float64, arena *SparseShards) error {
+	return nil
+}
+
+// AlltoAllSparseCodec blocks until every peer's encoded shard has arrived.
+func (c *Communicator) AlltoAllSparseCodec(op string, step int, send [][]float64, arena *SparseShards, codec SparseCodec, class RowClass) error {
+	return nil
+}
+
 // Send blocks on transport delivery.
 func (c *Communicator) Send(op string, step, to int, payload []byte) {}
 

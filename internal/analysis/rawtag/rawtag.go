@@ -39,8 +39,8 @@ var legacyFuncs = map[string]string{
 	"AllToAll":              "AllToAllVia",
 	"Gather":                "GatherVia",
 	"SparseAllGather":       "(*Communicator).SparseAllGather",
-	"SparseAllToAll":        "(*Communicator).SparseAllToAll",
-	"HierarchicalAllReduce": "(*Communicator).HierarchicalAllReduce",
+	"SparseAllToAll":        "(*Communicator).AlltoAllSparse",
+	"HierarchicalAllReduce": "(*Communicator).AllReduce",
 }
 
 // Analyzer implements the check.

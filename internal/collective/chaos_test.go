@@ -36,8 +36,8 @@ func chaosSeeds(n int) []int64 {
 }
 
 // chaosSignature runs every collective op on tr — flat ring AllReduce,
-// chunk-pipelined ring AllReduce, Broadcast, AllGather, AllToAll and
-// hierarchical AllReduce, each over two steps — and returns the
+// chunk-pipelined ring AllReduce, Broadcast, AllGather and AllToAll, each
+// over two steps — and returns the
 // concatenation of every result this rank observed. Two fabrics agree iff
 // their signatures are bit-identical on every rank.
 func chaosSignature(tr comm.Transport) ([]float32, error) {
@@ -99,16 +99,6 @@ func chaosSignature(tr comm.Transport) ([]float32, error) {
 		for _, p := range got {
 			sig = append(sig, p...)
 		}
-
-		wpn := 2
-		if n%2 != 0 {
-			wpn = 1
-		}
-		buf = mk(5, step)
-		if err := plain.HierarchicalAllReduce("chaos/hier", step, wpn, buf); err != nil {
-			return nil, fmt.Errorf("hierarchical: %w", err)
-		}
-		sig = append(sig, buf...)
 	}
 	return sig, nil
 }

@@ -355,7 +355,7 @@ func TestSparseAllToAllRoutesShards(t *testing.T) {
 			}
 			shards[p] = s
 		}
-		got, err := NewCommunicator(tr).SparseAllToAll("test/sparse-a2a", 0, shards)
+		got, err := AllToAllVia(NewCommunicator(tr), "test/sparse-a2a", 0, shards)
 		if err != nil {
 			return err
 		}

@@ -612,9 +612,10 @@ func (c *Communicator) recvRaw(op string, from, tag int) (any, error) {
 }
 
 // Send delivers payload to rank `to` under the tag of (op, step) — the
-// point-to-point escape hatch for protocols (like coord's negotiation) that
-// need raw messaging inside a Communicator-allocated tag range. The stream
-// state of a point-to-point (op, step) lives until Release.
+// point-to-point escape hatch for protocols (serving's control channel and
+// the elastic supervisor's ctl handshake) that need raw messaging inside a
+// Communicator-allocated tag range. The stream state of a point-to-point
+// (op, step) lives until Release.
 func (c *Communicator) Send(op string, step, to int, payload any) error {
 	tag, err := c.Tag(op, step)
 	if err != nil {
@@ -998,11 +999,4 @@ func (c *Communicator) SparseAllGather(op string, step int, local *tensor.Sparse
 		return nil, err
 	}
 	return tensor.Concat(parts...)
-}
-
-// SparseAllToAll routes sparse shards: shard[p] of the local gradient goes
-// to rank p, and the received shards are returned indexed by sender. The
-// shard count must equal the world size.
-func (c *Communicator) SparseAllToAll(op string, step int, shards []*tensor.Sparse) ([]*tensor.Sparse, error) {
-	return AllToAllVia(c, op, step, shards)
 }

@@ -288,7 +288,7 @@ func TestCommunicatorSparseAllToAllShardMismatch(t *testing.T) {
 			}
 			shards[i] = s
 		}
-		_, err := c.SparseAllToAll("emb/grad", 0, shards)
+		_, err := AllToAllVia(c, "emb/grad", 0, shards)
 		if err == nil {
 			t.Error("mismatched shard count must fail")
 			return nil

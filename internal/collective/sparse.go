@@ -10,7 +10,7 @@ import (
 
 // AlltoAllSparse is the zero-steady-state-allocation sparse exchange of the
 // hot-path rebuild. Instead of shipping *tensor.Sparse values and
-// concatenating the results (SparseAllToAll + tensor.Concat, which allocates
+// concatenating the results (AllToAllVia + tensor.Concat, which allocates
 // a fresh tensor per shard per step), each peer stream is sent as a
 // length-prefixed header followed by the raw index and value slices drawn
 // from the Communicator's buffer pools, and every received stream is copied
@@ -107,7 +107,7 @@ type SparseShards struct {
 }
 
 // Merged returns the concatenation of all received shards in sender order —
-// bit-identical to tensor.Concat over SparseAllToAll's results. Only
+// bit-identical to tensor.Concat over AllToAllVia's results. Only
 // meaningful when every sender shares the receiver's column width.
 //
 // aliases: the returned tensor is a view of the arena, valid until the next
@@ -195,7 +195,7 @@ func sparseRawBytes(rows, dim int) int { return rows * (8 + 4*dim) }
 // received shards in sender order. Senders may carry different column widths
 // (each stream's header says its own); when every sender matches the
 // receiver's width the merged arena is bit-identical to
-// tensor.Concat(SparseAllToAll(...)). Per-sender views come from ShardView
+// tensor.Concat(AllToAllVia(...)). Per-sender views come from ShardView
 // either way.
 //
 //embrace:hotpath

@@ -1,8 +1,8 @@
-// Sparse wire codecs for the embedding AlltoAll (DESIGN.md §12). The
-// embedding-gradient exchange is the paper's dominant communication cost,
-// and its payloads are index–value streams, not dense vectors — so the
-// dense Compressor path above does not apply. Two codecs cover the two
-// regimes:
+// Package compress implements the sparse wire codecs for the embedding
+// AlltoAll (DESIGN.md §12). The embedding-gradient exchange is the paper's
+// dominant communication cost, and its payloads are index–value streams, not
+// dense vectors, so the codecs compress indices and values separately. Two
+// codecs cover the two regimes:
 //
 //   - DeltaRaw: lossless. Row ids are sorted-ascending after Coalesce, so
 //     delta + zigzag varint encoding collapses the 8-byte indices to ~1

@@ -260,7 +260,7 @@ func (w *embraceWorker) Step(step int, windows [][]int64, targets []int64, nextT
 
 	// (5a) Without vertical scheduling: one whole-gradient arena exchange,
 	// then a whole update. The arena's merged view is exactly the
-	// sender-ordered concatenation the legacy SparseAllToAll + Concat path
+	// sender-ordered concatenation a generic AllToAllVia + Concat exchange
 	// produced, and CoalesceInto sums it in the same order Coalesce would —
 	// the update is bit-identical, it just reuses last step's buffers.
 	if w.cfg.Sched != Sched2D {
