@@ -583,19 +583,25 @@ func TrainSeq(cfg SeqTrainConfig) (*TrainResult, error) {
 	if window == 0 {
 		window = 6
 	}
-	res, err := trainer.RunSeq(trainer.SeqJob{
-		Workers:   cfg.Workers,
-		Steps:     cfg.Steps,
-		Window:    window,
-		Vocab:     vocab,
-		EmbDim:    embDim,
-		Hidden:    hidden,
-		LR:        lr,
-		Vertical:  cfg.Vertical,
-		Seed:      cfg.Seed,
-		DataSeed:  cfg.Seed + 1,
-		Text:      cfg.Text,
-		TextBatch: batch,
+	sched := strategies.SchedNone
+	if cfg.Vertical {
+		sched = strategies.Sched2D
+	}
+	res, err := trainer.Run(trainer.Job{
+		Strategy: strategies.HorovodAllGather,
+		Workers:  cfg.Workers,
+		Steps:    cfg.Steps,
+		Window:   window,
+		Model: strategies.Config{
+			Seed:      cfg.Seed,
+			Vocab:     vocab,
+			EmbDim:    embDim,
+			Hidden:    hidden,
+			Recurrent: true,
+			Optimizer: strategies.OptAdam,
+			LR:        lr,
+			Sched:     sched,
+		},
 		Data: data.Config{
 			VocabSize:      vocab,
 			BatchSentences: batch,
@@ -604,12 +610,19 @@ func TrainSeq(cfg SeqTrainConfig) (*TrainResult, error) {
 			ZipfS:          1.6,
 			ZipfV:          3,
 		},
+		DataSeed:   cfg.Seed + 1,
+		Text:       cfg.Text,
 		OverTCP:    cfg.OverTCP,
 		ChunkBytes: cfg.ChunkBytes,
 	})
 	if err != nil {
 		return nil, err
 	}
+	return trainResult(res), nil
+}
+
+// trainResult converts a trainer result into the public form.
+func trainResult(res *trainer.Result) *TrainResult {
 	out := &TrainResult{
 		Losses:        res.Losses,
 		Accuracies:    res.Accuracies,
@@ -617,11 +630,27 @@ func TrainSeq(cfg SeqTrainConfig) (*TrainResult, error) {
 		CommBytes:     res.Comm.PayloadBytes,
 		CommMessages:  res.Comm.Messages,
 		CommPerOp:     perOpTraffic(res.CommPerOp),
+		FaultsMasked:  res.Comm.FaultsMasked,
+		FaultsFatal:   res.Comm.FaultsFatal,
+		PhaseSeconds:  res.PhaseSeconds,
 	}
 	if n := len(res.Losses); n > 0 {
 		out.FinalPPL = perplexity(res.Losses[n-1])
 	}
-	return out, nil
+	return out
+}
+
+// saveCheckpoint writes a run's final parameters, stamped with the number
+// of batches trained.
+func saveCheckpoint(path string, step int, res *trainer.Result) error {
+	ckpt := &checkpoint.Checkpoint{
+		Step:   step,
+		Params: map[string]*tensor.Dense{"emb": res.Embedding},
+	}
+	for _, p := range res.DenseParams {
+		ckpt.Params[p.Name] = p.Tensor
+	}
+	return checkpoint.SaveFile(path, ckpt)
 }
 
 // Train runs real distributed training and returns the loss curve.
@@ -667,32 +696,11 @@ func Train(cfg TrainConfig) (*TrainResult, error) {
 		}
 	}
 	if cfg.CheckpointPath != "" {
-		ckpt := &checkpoint.Checkpoint{
-			Step:   job.SkipBatches + job.Steps,
-			Params: map[string]*tensor.Dense{"emb": res.Embedding},
-		}
-		for _, p := range res.Trunk.Params() {
-			ckpt.Params[p.Name] = p.Tensor
-		}
-		if err := checkpoint.SaveFile(cfg.CheckpointPath, ckpt); err != nil {
+		if err := saveCheckpoint(cfg.CheckpointPath, job.SkipBatches+job.Steps, res); err != nil {
 			return nil, err
 		}
 	}
-	out := &TrainResult{
-		Losses:        res.Losses,
-		Accuracies:    res.Accuracies,
-		TokensTrained: res.TokensTrained,
-		CommBytes:     res.Comm.PayloadBytes,
-		CommMessages:  res.Comm.Messages,
-		CommPerOp:     perOpTraffic(res.CommPerOp),
-		FaultsMasked:  res.Comm.FaultsMasked,
-		FaultsFatal:   res.Comm.FaultsFatal,
-		PhaseSeconds:  res.PhaseSeconds,
-	}
-	if n := len(res.Losses); n > 0 {
-		out.FinalPPL = perplexity(res.Losses[n-1])
-	}
-	return out, nil
+	return trainResult(res), nil
 }
 
 // trainElastic runs the elastic branch of Train: supervised crash–shrink–
@@ -733,17 +741,8 @@ func trainElastic(cfg TrainConfig, job trainer.Job) (*TrainResult, error) {
 	if res == nil {
 		return nil, runErr
 	}
-	out := &TrainResult{
-		Losses:        res.Losses,
-		Accuracies:    res.Accuracies,
-		TokensTrained: res.TokensTrained,
-		CommBytes:     res.Comm.PayloadBytes,
-		CommMessages:  res.Comm.Messages,
-		CommPerOp:     perOpTraffic(res.CommPerOp),
-		FaultsMasked:  res.Comm.FaultsMasked,
-		FaultsFatal:   res.Comm.FaultsFatal,
-		Recoveries:    res.Recoveries,
-	}
+	out := trainResult(&res.Result)
+	out.Recoveries = res.Recoveries
 	for _, ep := range res.Epochs {
 		out.Elastic = append(out.Elastic, ElasticEpoch{
 			Epoch:           ep.Epoch,
@@ -755,21 +754,11 @@ func trainElastic(cfg TrainConfig, job trainer.Job) (*TrainResult, error) {
 			RecoverySeconds: ep.RecoverySeconds,
 		})
 	}
-	if n := len(res.Losses); n > 0 {
-		out.FinalPPL = perplexity(res.Losses[n-1])
-	}
 	if runErr != nil {
 		return out, runErr
 	}
 	if cfg.CheckpointPath != "" {
-		ckpt := &checkpoint.Checkpoint{
-			Step:   job.SkipBatches + job.Steps,
-			Params: map[string]*tensor.Dense{"emb": res.Embedding},
-		}
-		for _, p := range res.Trunk.Params() {
-			ckpt.Params[p.Name] = p.Tensor
-		}
-		if err := checkpoint.SaveFile(cfg.CheckpointPath, ckpt); err != nil {
+		if err := saveCheckpoint(cfg.CheckpointPath, job.SkipBatches+job.Steps, &res.Result); err != nil {
 			return nil, err
 		}
 	}

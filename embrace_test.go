@@ -169,6 +169,19 @@ func TestTrainSeqThroughFacade(t *testing.T) {
 	}
 }
 
+// The recurrent model replicates its embedding, so unlike EmbRace's column
+// shards its width need not divide the world: 5 workers train the default
+// 12-wide embedding.
+func TestTrainSeqIndivisibleWorld(t *testing.T) {
+	res, err := embrace.TrainSeq(embrace.SeqTrainConfig{Workers: 5, Steps: 4, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Losses) != 4 || res.CommBytes <= 0 {
+		t.Fatalf("bad result %+v", res)
+	}
+}
+
 func TestEstimateCommCost(t *testing.T) {
 	c, err := embrace.EstimateCommCost(0.1, 252.5, 16, 4, 100)
 	if err != nil {

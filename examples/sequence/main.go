@@ -1,144 +1,67 @@
 // Sequence: data-parallel training of the recurrent model (embedding → GRU
 // → softmax) with per-token sparse embedding gradients — the gradient
 // structure of the paper's translation models, where every token position
-// contributes a row and duplicates abound. The example runs a hand-rolled
-// AllGather data-parallel loop over real collectives and prints the
-// Algorithm-1 statistics of the actual gradients it ships.
+// contributes a row and duplicates abound. The example trains it through the
+// public API twice, with whole sparse AllGathers and with Algorithm 1's
+// prior/delayed split, and prints where the embedding-gradient bytes went.
 package main
 
 import (
 	"fmt"
 	"log"
-	"sync"
 
 	"embrace"
-
-	"embrace/internal/collective"
-	"embrace/internal/comm"
-	"embrace/internal/data"
-	"embrace/internal/nn"
-	"embrace/internal/optim"
-	"embrace/internal/sched"
-	"embrace/internal/tensor"
 )
 
 func main() {
 	log.SetFlags(0)
-	const (
-		workers = 4
-		steps   = 25
-		vocab   = 400
-		embDim  = 12
-		hidden  = 16
-		window  = 6
-	)
-
-	losses := make([]float64, steps)
-	var statsMu sync.Mutex
-	var rawRows, coalescedRows, priorRows int
-
-	err := comm.RunRanks(workers, func(t comm.Transport) error {
-		cm := collective.NewCommunicator(t)
-		model := nn.NewSeqModel(11, vocab, embDim, hidden)
-		opts := map[string]optim.Optimizer{}
-		for _, p := range model.Params() {
-			opts[p.Name] = optim.NewAdamDefault(p.Tensor, 0.01)
-		}
-		embOpt := optim.NewAdamDefault(model.Emb.Table, 0.01)
-
-		gen, err := data.NewGenerator(data.Config{
-			VocabSize: vocab, BatchSentences: 12,
-			MaxSeqLen: window + 2, MinSeqLen: window + 1,
-			ZipfS: 1.6, ZipfV: 3,
-		}, 100+int64(t.Rank()))
-		if err != nil {
-			return err
-		}
-		loader := data.NewLoader(gen)
-
-		for step := 0; step < steps; step++ {
-			batch := loader.Next()
-			next := loader.Peek()
-			windows := make([][]int64, len(batch.Sentences))
-			targets := make([]int64, len(batch.Sentences))
-			for i, s := range batch.Sentences {
-				windows[i] = s[:window]
-				targets[i] = s[window]
-			}
-
-			stats, embGrad, dense, err := model.Step(windows, targets)
-			if err != nil {
-				return err
-			}
-
-			// Dense gradients: ring AllReduce, like any dense model.
-			for _, p := range model.Params() {
-				g := dense[p.Name]
-				if err := cm.AllReduce("dense/"+p.Name, step, g.Data()); err != nil {
-					return err
-				}
-				if err := opts[p.Name].StepDense(g); err != nil {
-					return err
-				}
-			}
-
-			// Embedding gradient: Algorithm 1 on the real per-token rows,
-			// then sparse AllGather of prior + delayed parts.
-			prior, delayed := sched.VerticalSplit(embGrad, embGrad.UniqueIndices(),
-				tensor.UniqueInt64(next.Tokens()))
-			if t.Rank() == 0 && step == steps-1 {
-				statsMu.Lock()
-				rawRows = embGrad.NNZ()
-				coalescedRows = prior.NNZ() + delayed.NNZ()
-				priorRows = prior.NNZ()
-				statsMu.Unlock()
-			}
-			mergedPrior, err := cm.SparseAllGather("emb/prior", step, prior)
-			if err != nil {
-				return err
-			}
-			if err := embOpt.StepSparsePartial(mergedPrior, false); err != nil {
-				return err
-			}
-			mergedDelayed, err := cm.SparseAllGather("emb/delayed", step, delayed)
-			if err != nil {
-				return err
-			}
-			if err := embOpt.StepSparsePartial(mergedDelayed, true); err != nil {
-				return err
-			}
-
-			all, err := collective.GatherVia(cm, "trainer/loss", step, 0, stats.Loss)
-			if err != nil {
-				return err
-			}
-			if t.Rank() == 0 {
-				var sum float64
-				for _, l := range all {
-					sum += l
-				}
-				statsMu.Lock()
-				losses[step] = sum / float64(len(all))
-				statsMu.Unlock()
-			}
-		}
-		return nil
-	})
+	cfg := embrace.SeqTrainConfig{
+		Workers:        4,
+		Steps:          25,
+		Window:         6,
+		Vocab:          400,
+		EmbDim:         12,
+		Hidden:         16,
+		BatchSentences: 12,
+		Seed:           11,
+	}
+	whole, err := embrace.TrainSeq(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg.Vertical = true
+	split, err := embrace.TrainSeq(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("GRU sequence model, 4 workers, per-token sparse gradients + Algorithm 1:")
-	for i := 0; i < steps; i += 6 {
-		fmt.Printf("  step %3d  loss %.4f\n", i+1, losses[i])
+	for i := 0; i < cfg.Steps-1; i += 6 {
+		fmt.Printf("  step %3d  loss %.4f\n", i+1, split.Losses[i])
 	}
-	fmt.Printf("  step %3d  loss %.4f\n", steps, losses[steps-1])
-	fmt.Printf("\nlast-step gradient (rank 0): %d raw token rows -> %d coalesced (%d prior, %d delayed)\n",
-		rawRows, coalescedRows, priorRows, coalescedRows-priorRows)
+	fmt.Printf("  step %3d  loss %.4f\n", cfg.Steps, split.Losses[cfg.Steps-1])
+	same := true
+	for i := range whole.Losses {
+		same = same && whole.Losses[i] == split.Losses[i]
+	}
+	fmt.Printf("  split losses equal whole-update losses bit for bit: %v\n", same)
+	if !same {
+		log.Fatal("the modified Adam's split updates diverged from whole updates")
+	}
 
-	// The same machinery on real text through the public API: a tokenizer
-	// is built from the sentences, each worker takes an interleaved shard,
-	// and vertical scheduling splits the real per-token gradients.
+	// The split gathers the coalesced gradient in two parts: rows the next
+	// batch reads again (prior, applied before its forward pass) and the
+	// rest (delayed). Together they carry what one whole AllGather would.
+	grad := whole.CommPerOp["emb/grad"]
+	prior, delayed := split.CommPerOp["emb/prior"], split.CommPerOp["emb/delayed"]
+	fmt.Printf("\nembedding-gradient AllGather over %d steps (all ranks):\n", cfg.Steps)
+	fmt.Printf("  whole    %6d messages  %8.1f KB\n", grad.Messages, float64(grad.Bytes)/1024)
+	fmt.Printf("  prior    %6d messages  %8.1f KB\n", prior.Messages, float64(prior.Bytes)/1024)
+	fmt.Printf("  delayed  %6d messages  %8.1f KB\n", delayed.Messages, float64(delayed.Bytes)/1024)
+
+	// The same machinery on real text: a tokenizer is built from the
+	// sentences, each worker takes an interleaved shard, and vertical
+	// scheduling splits the real per-token gradients.
 	text := []string{
 		"the old man went to the sea",
 		"the sea was calm and the wind was cold",

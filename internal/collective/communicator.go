@@ -612,9 +612,9 @@ func (c *Communicator) recvRaw(op string, from, tag int) (any, error) {
 }
 
 // Send delivers payload to rank `to` under the tag of (op, step) — the
-// point-to-point escape hatch for protocols (serving's control channel and
-// the elastic supervisor's ctl handshake) that need raw messaging inside a
-// Communicator-allocated tag range. The stream state of a point-to-point
+// point-to-point escape hatch for protocols (serving's control channel is
+// the one caller) that need raw messaging inside a Communicator-allocated
+// tag range. The stream state of a point-to-point
 // (op, step) lives until Release.
 func (c *Communicator) Send(op string, step, to int, payload any) error {
 	tag, err := c.Tag(op, step)

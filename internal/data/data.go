@@ -141,6 +141,13 @@ func (g *Generator) NextBatch() *Batch {
 	return b
 }
 
+// Stream is the prefetching contract Loader and TextLoader share: Next
+// consumes the current batch, Peek exposes the one after it.
+type Stream interface {
+	Next() *Batch
+	Peek() *Batch
+}
+
 // Loader wraps a Generator with one batch of lookahead — the data prefetch
 // of §4.2.2. Peek exposes the next iteration's batch so Algorithm 1 can
 // compute the prior/delayed split before the next forward pass begins.

@@ -44,7 +44,7 @@ func (w *replicaWorker) modelStep(step int, windows [][]int64, targets []int64) 
 	return stats, embGrad, grads, err
 }
 
-func (w *replicaWorker) Trunk() *nn.Trunk { return w.model.Trunk }
+func (w *replicaWorker) DenseParams() []nn.NamedParam { return w.model.Trunk.Params() }
 
 func (w *replicaWorker) FullEmbedding() (*tensor.Dense, error) {
 	return w.model.Emb.Table, nil

@@ -156,7 +156,7 @@ func newEmbRaceWorker(cm *collective.Communicator, cfg Config, rec *trace.Record
 
 func (w *embraceWorker) Strategy() Name { return EmbRace }
 
-func (w *embraceWorker) Trunk() *nn.Trunk { return w.trunk }
+func (w *embraceWorker) DenseParams() []nn.NamedParam { return w.trunk.Params() }
 
 // harvestDelayed joins the previous step's background delayed exchange and
 // applies it as the final part of that step's split update. It must run
@@ -173,13 +173,7 @@ func (w *embraceWorker) harvestDelayed(step int) error {
 	if res.err != nil {
 		return fmt.Errorf("delayed exchange: %w", res.err)
 	}
-	if adam, ok := w.embOpt.(*optim.Adam); ok {
-		if err := adam.StepSparsePartial(res.grad, true); err != nil {
-			return fmt.Errorf("delayed update: %w", err)
-		}
-		return nil
-	}
-	if err := w.embOpt.StepSparse(res.grad); err != nil {
+	if err := stepPartial(w.embOpt, res.grad, true); err != nil {
 		return fmt.Errorf("delayed update: %w", err)
 	}
 	return nil
@@ -310,11 +304,7 @@ func (w *embraceWorker) Step(step int, windows [][]int64, targets []int64, nextT
 	prior := h.arena.Merged().CoalesceInto(&h.coal, &h.sort)
 	sp.End()
 	sp = w.rec.Begin(trace.TrackCompute, SpanPriorUpdate, step)
-	if adam, ok := w.embOpt.(*optim.Adam); ok {
-		if err := adam.StepSparsePartial(prior, false); err != nil {
-			return nn.StepStats{}, fmt.Errorf("prior update: %w", err)
-		}
-	} else if err := w.embOpt.StepSparse(prior); err != nil {
+	if err := stepPartial(w.embOpt, prior, false); err != nil {
 		return nn.StepStats{}, fmt.Errorf("prior update: %w", err)
 	}
 	sp.End()

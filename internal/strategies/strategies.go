@@ -6,7 +6,8 @@
 //   - HorovodAllReduce: every gradient, embeddings included, is aggregated
 //     densely with ring AllReduce.
 //   - HorovodAllGather: dense gradients use AllReduce; embedding gradients
-//     stay sparse and are aggregated with AllGather.
+//     stay sparse and are aggregated with AllGather. It also runs the
+//     recurrent GRU model (Config.Recurrent), whole or with Algorithm 1.
 //   - BytePS: every gradient goes through dense parameter servers (BytePS
 //     treats sparse tensors as dense; its ByteScheduler priority scheduling
 //     is a timing concern modeled by internal/perfsim).
@@ -79,19 +80,27 @@ type Config struct {
 	// Seed controls all parameter initialization; every rank derives the
 	// same initial model from it.
 	Seed int64
-	// Vocab, EmbDim, Hidden size the nn.Model.
+	// Vocab, EmbDim, Hidden size the model.
 	Vocab, EmbDim, Hidden int
+	// Recurrent trains the GRU sequence model (nn.SeqModel: per-token
+	// embedding rows into a GRU, the gradient structure of the paper's
+	// translation models) instead of the pooled nn.Model. It runs under
+	// HorovodAllGather only: whole sparse AllGathers, or with Sched2D
+	// Algorithm 1's prior and delayed AllGathers and the modified Adam.
+	Recurrent bool
 	// Optimizer selects the update rule for every parameter.
 	Optimizer OptimizerKind
 	// LR is the learning rate.
 	LR float32
-	// Sched selects EmbRace's scheduling mode; ignored by baselines.
+	// Sched selects EmbRace's and the recurrent model's scheduling mode;
+	// the pooled-model baselines ignore it.
 	Sched SchedMode
 	// PSServers is the logical server shard count for PS strategies.
 	PSServers int
 	// InitEmbedding and InitTrunk, when set, override the seed-derived
 	// initial parameters — the warm-start hook checkpoint resume uses.
-	// InitTrunk keys follow Trunk.Params ("w1", "b1", "w2", "b2").
+	// InitTrunk keys follow Worker.DenseParams: "w1", "b1", "w2", "b2" for
+	// the pooled model, the GRU gates plus "wo", "bo" for the recurrent one.
 	InitEmbedding *tensor.Dense
 	InitTrunk     map[string]*tensor.Dense
 	// Codec, when non-nil, compresses the embedding-gradient AlltoAll
@@ -121,7 +130,7 @@ func (c Config) Validate(workers int) error {
 	if workers <= 0 {
 		return fmt.Errorf("strategies: workers must be positive, got %d", workers)
 	}
-	if c.EmbDim%workers != 0 {
+	if !c.Recurrent && c.EmbDim%workers != 0 {
 		return fmt.Errorf("strategies: EmbDim %d not divisible by %d workers (column-wise partitioning)", c.EmbDim, workers)
 	}
 	if c.PSServers < 0 {
@@ -140,15 +149,21 @@ func (c Config) Validate(workers int) error {
 // so all replicas and shards begin identical.
 func newInitialModel(cfg Config) *nn.Model {
 	m := nn.NewModel(cfg.Seed, cfg.Vocab, cfg.EmbDim, cfg.Hidden)
+	warmStart(cfg, m.Emb, m.Trunk.Params())
+	return m
+}
+
+// warmStart applies the config's InitEmbedding and InitTrunk overrides, by
+// parameter name, to a freshly seeded model of either kind.
+func warmStart(cfg Config, emb *nn.Embedding, dense []nn.NamedParam) {
 	if cfg.InitEmbedding != nil {
-		copy(m.Emb.Table.Data(), cfg.InitEmbedding.Data())
+		copy(emb.Table.Data(), cfg.InitEmbedding.Data())
 	}
-	for _, p := range m.Trunk.Params() {
+	for _, p := range dense {
 		if init, ok := cfg.InitTrunk[p.Name]; ok && init.Len() == p.Tensor.Len() {
 			copy(p.Tensor.Data(), init.Data())
 		}
 	}
-	return m
 }
 
 // Worker is one rank's strategy instance.
@@ -163,8 +178,9 @@ type Worker interface {
 	// FullEmbedding returns this rank's view of the complete embedding
 	// table. Collective for EmbRace (shards are gathered), local otherwise.
 	FullEmbedding() (*tensor.Dense, error)
-	// Trunk returns the rank's dense trunk parameters.
-	Trunk() *nn.Trunk
+	// DenseParams returns the rank's named dense (non-embedding)
+	// parameters, live: the pooled trunk's or the GRU's.
+	DenseParams() []nn.NamedParam
 }
 
 // Shared holds state that must be created once per world and handed to all
@@ -193,8 +209,8 @@ const (
 	// OpEmbDelayed is the background delayed-gradient AlltoAll (§4.2.2).
 	OpEmbDelayed = "emb/delayed"
 	// OpEmbPrior is the immediate prior-gradient exchange of Algorithm 1's
-	// split (used by the sequence trainer, where prior and delayed parts
-	// travel as separate AllGathers).
+	// split on the recurrent model, where prior and delayed parts travel
+	// as separate AllGathers.
 	OpEmbPrior = "emb/prior"
 	// OpNextBatch gathers the prefetched next-batch token ids (Algorithm 1).
 	OpNextBatch = "emb/next-batch"
@@ -289,6 +305,16 @@ func newOptimizer(cfg Config, param *tensor.Dense) optim.Optimizer {
 	}
 }
 
+// stepPartial applies one part of a split sparse update: final=false for
+// the prior part, final=true for the delayed part that completes the step
+// (the modified Adam of §5.7). Other optimizers apply each part whole.
+func stepPartial(opt optim.Optimizer, g *tensor.Sparse, final bool) error {
+	if adam, ok := opt.(*optim.Adam); ok {
+		return adam.StepSparsePartial(g, final)
+	}
+	return opt.StepSparse(g)
+}
+
 // trunkOptimizers builds one optimizer per trunk parameter.
 func trunkOptimizers(cfg Config, t *nn.Trunk) map[string]optim.Optimizer {
 	out := make(map[string]optim.Optimizer, 4)
@@ -304,6 +330,9 @@ func trunkOptimizers(cfg Config, t *nn.Trunk) map[string]optim.Optimizer {
 func NewShared(name Name, cfg Config, workers int) (*Shared, error) {
 	if err := cfg.Validate(workers); err != nil {
 		return nil, err
+	}
+	if cfg.Recurrent && name != HorovodAllGather {
+		return nil, errRecurrent(name)
 	}
 	servers := cfg.PSServers
 	if servers == 0 {
@@ -354,6 +383,9 @@ func NewWorker(name Name, cm *collective.Communicator, cfg Config, sh *Shared, o
 	if err := cfg.Validate(cm.Size()); err != nil {
 		return nil, err
 	}
+	if cfg.Recurrent && name != HorovodAllGather {
+		return nil, errRecurrent(name)
+	}
 	if sh == nil {
 		sh = &Shared{}
 	}
@@ -376,6 +408,9 @@ func NewWorker(name Name, cm *collective.Communicator, cfg Config, sh *Shared, o
 	case HorovodAllReduce:
 		return newAllReduceWorker(cm, cfg, rec), nil
 	case HorovodAllGather:
+		if cfg.Recurrent {
+			return newGRUWorker(cm, cfg, rec), nil
+		}
 		return newAllGatherWorker(cm, cfg, rec), nil
 	case Parallax:
 		if sh.sparseEmb == nil {
@@ -392,4 +427,10 @@ func NewWorker(name Name, cm *collective.Communicator, cfg Config, sh *Shared, o
 	default:
 		return nil, fmt.Errorf("strategies: unknown strategy %q", name)
 	}
+}
+
+// errRecurrent rejects the recurrent model under any strategy but
+// HorovodAllGather.
+func errRecurrent(name Name) error {
+	return fmt.Errorf("strategies: the recurrent model runs under %s only, not %s", HorovodAllGather, name)
 }

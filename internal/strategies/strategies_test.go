@@ -46,6 +46,44 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// The recurrent model replicates its embedding, so it skips the column
+// divisibility constraint, and it runs under HorovodAllGather only.
+func TestRecurrentConfig(t *testing.T) {
+	cfg := validConfig()
+	cfg.Recurrent = true
+	cfg.EmbDim = 10
+	if err := cfg.Validate(4); err != nil {
+		t.Fatalf("recurrent EmbDim 10 on 4 workers: %v", err)
+	}
+	if _, err := NewShared(HorovodAllGather, cfg, 4); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range AllNames() {
+		if name == HorovodAllGather {
+			continue
+		}
+		if _, err := NewShared(name, cfg, 4); err == nil {
+			t.Fatalf("%s: recurrent model accepted", name)
+		}
+	}
+	err := comm.RunRanks(2, func(tr comm.Transport) error {
+		if _, err := NewWorker(EmbRace, collective.NewCommunicator(tr), cfg, nil); err == nil {
+			t.Error("embrace worker accepted the recurrent model")
+		}
+		w, err := NewWorker(HorovodAllGather, collective.NewCommunicator(tr), cfg, nil)
+		if err != nil {
+			return err
+		}
+		if len(w.DenseParams()) != 11 {
+			t.Errorf("recurrent worker has %d dense params, want 9 GRU + wo, bo", len(w.DenseParams()))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAllNamesCoverFiveStrategies(t *testing.T) {
 	names := AllNames()
 	if len(names) != 5 {
@@ -194,7 +232,7 @@ func TestWorkerStrategyNames(t *testing.T) {
 			if w.Strategy() != name {
 				t.Errorf("Strategy() = %s, want %s", w.Strategy(), name)
 			}
-			if w.Trunk() == nil {
+			if w.DenseParams() == nil {
 				t.Error("nil trunk")
 			}
 			return nil

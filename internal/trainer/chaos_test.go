@@ -12,7 +12,7 @@ import (
 )
 
 // sameResult asserts two runs are bit-identical: loss curve, accuracy curve,
-// final embedding table and final trunk parameters.
+// final embedding table and final dense parameters.
 func sameResult(t *testing.T, label string, ref, got *Result) {
 	t.Helper()
 	for i := range ref.Losses {
@@ -26,7 +26,7 @@ func sameResult(t *testing.T, label string, ref, got *Result) {
 	if !ref.Embedding.AllClose(got.Embedding, 0) {
 		t.Fatalf("%s: final embedding differs by %v", label, ref.Embedding.MaxAbsDiff(got.Embedding))
 	}
-	refP, gotP := ref.Trunk.Params(), got.Trunk.Params()
+	refP, gotP := ref.DenseParams, got.DenseParams
 	for i := range refP {
 		if !refP[i].Tensor.AllClose(gotP[i].Tensor, 0) {
 			t.Fatalf("%s: trunk param %s differs", label, refP[i].Name)
@@ -39,8 +39,13 @@ func sameResult(t *testing.T, label string, ref, got *Result) {
 // parameters to the last bit. This is the paper's synchronous-training
 // contract surviving a misbehaving fabric.
 func TestTrainingUnderMaskableChaosIsBitIdentical(t *testing.T) {
-	for _, name := range []strategies.Name{strategies.EmbRace, strategies.HorovodAllReduce} {
-		job := testJob(name, 4)
+	gru := seqJob()
+	gru.Model.Sched = strategies.Sched2D
+	for _, job := range []Job{testJob(strategies.EmbRace, 4), testJob(strategies.HorovodAllReduce, 4), gru} {
+		name := string(job.Strategy)
+		if job.Model.Recurrent {
+			name += "/gru"
+		}
 		ref, err := Run(job)
 		if err != nil {
 			t.Fatalf("%s fault-free: %v", name, err)

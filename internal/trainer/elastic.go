@@ -7,14 +7,16 @@
 // layers below: crashes surface as attributed FaultErrors wrapping
 // comm.ErrPeerDown, checkpoint v2 gives a CRC-sealed recovery source, and
 // the AlltoAll's self-send elision means a surviving rank's resident state
-// is exact. This file composes them into a world-epoch protocol:
+// is exact. This file composes them into a world-epoch protocol; every epoch
+// runs the trainer's one step loop (runRankLoop) with the epoch's inputs in
+// its spec:
 //
 //	epoch e trains  ──fault──▶  shrink: survivors restore their REMAPPED
 //	    │                        shard of the last in-memory snapshot
 //	    │                        (partition.ColumnWise.Remap + checkpoint.
 //	    │                        ColumnShard), epoch e+1 trains on W-k ranks
-//	  stop-to-rejoin ◀── stepped ctl handshake (rank 0 drives, serve-style)
-//	    │
+//	  stop-to-rejoin ◀── every rank reaches the same boundary decision
+//	    │                 from the shared spec; no message decides it
 //	  epoch e+2: the recovered rank is readmitted (comm.Readmit clears its
 //	  down markers), Communicators rebuild behind a barrier in a fresh tag
 //	  plane (collective.WithEpoch), so stale frames of the dead world are
@@ -37,7 +39,6 @@ import (
 	"embrace/internal/collective"
 	"embrace/internal/comm"
 	"embrace/internal/data"
-	"embrace/internal/metrics"
 	"embrace/internal/partition"
 	"embrace/internal/strategies"
 	"embrace/internal/tensor"
@@ -48,15 +49,16 @@ import (
 type ElasticJob struct {
 	Job
 	// CheckpointEvery is the in-memory snapshot cadence in steps: every
-	// N-th step boundary gathers the full embedding and clones the trunk,
-	// bounding fault rollback to N-1 steps. Zero picks DefaultCheckpointEvery.
+	// N-th step boundary gathers the full embedding and clones the dense
+	// parameters, bounding fault rollback to N-1 steps. Zero picks
+	// DefaultCheckpointEvery.
 	CheckpointEvery int
 	// MaxRecoveries bounds how many faults the supervisor absorbs before
 	// giving up and returning the partial result with the error. Zero picks
 	// DefaultMaxRecoveries.
 	MaxRecoveries int
 	// Rejoin readmits recovered ranks: after a shrink, the shrunk world
-	// stops at a ctl boundary (RejoinAfter steps in) and the next epoch
+	// stops at a step boundary (RejoinAfter steps in) and the next epoch
 	// runs at full size again, with the recovered rank restored from the
 	// stop snapshot like everyone else.
 	Rejoin bool
@@ -82,7 +84,7 @@ const (
 	// EpochFault: the epoch died on an attributed fault; the supervisor
 	// rolled back to the epoch's last snapshot and shrunk the world.
 	EpochFault = "fault"
-	// EpochRejoin: the epoch stopped at a ctl boundary so the next epoch
+	// EpochRejoin: the epoch stopped at a step boundary so the next epoch
 	// could readmit recovered ranks at full world size.
 	EpochRejoin = "rejoin"
 )
@@ -185,6 +187,9 @@ func (j ElasticJob) validate() error {
 	if j.Trace {
 		return fmt.Errorf("trainer: elastic supervision does not record traces; drop Trace")
 	}
+	if len(j.Text) > 0 {
+		return fmt.Errorf("trainer: elastic supervision trains on the synthetic corpus; drop Text")
+	}
 	switch j.Strategy {
 	case strategies.Parallax, strategies.BytePS:
 		return fmt.Errorf("trainer: %s pins shared parameter servers to a fixed world; elastic supervision supports the collective strategies", j.Strategy)
@@ -242,13 +247,13 @@ func RunElastic(job ElasticJob) (*ElasticResult, error) {
 		spec := epochSpec{
 			job:       job.Job,
 			epoch:     epoch,
-			workers:   workers,
 			stepBase:  done,
 			ckptEvery: ckptEvery,
 			stopAfter: stopAfter,
 			base:      base,
 			clock:     clock,
 		}
+		spec.job.Workers = workers
 		out := runEpoch(spec, &chaosW)
 
 		res.Comm = res.Comm.Add(out.res.Comm)
@@ -267,13 +272,13 @@ func RunElastic(job ElasticJob) (*ElasticResult, error) {
 			copy(res.Losses[done:], out.res.Losses)
 			copy(res.Accuracies[done:], out.res.Accuracies)
 			res.Embedding = out.res.Embedding
-			res.Trunk = out.res.Trunk
+			res.DenseParams = out.res.DenseParams
 			info.EndStep = job.Steps
 			info.End = EpochCompleted
 			res.Epochs = append(res.Epochs, info)
 			return res, nil
 
-		case out.err == nil: // stopped at a ctl boundary to readmit
+		case out.err == nil: // stopped at a boundary to readmit
 			snap := out.snaps[len(out.snaps)-1]
 			copy(res.Losses[done:done+snap.steps], out.res.Losses[:snap.steps])
 			copy(res.Accuracies[done:done+snap.steps], out.res.Accuracies[:snap.steps])
@@ -368,30 +373,23 @@ func pickFault(faults []*FaultError, crashed []int) *FaultError {
 // One world epoch.
 // ---------------------------------------------------------------------------
 
-// Ctl ops of the world-epoch protocol. The barrier is the pending-pointer
+// opElasticBarrier is the rebuilt world's barrier, the pending-pointer
 // handoff moment (serve.Reload's shape): every rank has built its worker —
 // remapped shard restored — before any step traffic flows.
-const (
-	opElasticBarrier = "elastic/world"
-	opElasticCtl     = "elastic/ctl"
-)
+const opElasticBarrier = "elastic/world"
 
-// Stepped ctl decisions rank 0 sends at every step boundary.
-const (
-	ctlContinue   = 0
-	ctlCheckpoint = 1
-	ctlStop       = 2
-)
-
+// epochSpec is what runRankLoop runs: the job (its Workers the epoch's world
+// size) plus the supervisor's per-epoch inputs. A plain Run passes the job
+// alone; every elastic input then keeps its zero value.
 type epochSpec struct {
 	job       Job
-	epoch     int
-	workers   int
-	stepBase  int // global steps already locked in before this epoch
-	ckptEvery int
-	stopAfter int // >0: stop at the first boundary >= this many epoch steps
+	tok       *data.Tokenizer // text mode's tokenizer; nil for the synthetic corpus
+	epoch     int             // world epoch; > 0 rebuilds behind a barrier
+	stepBase  int             // global steps already locked in before this epoch
+	ckptEvery int             // > 0: snapshot every ckptEvery epoch steps
+	stopAfter int             // > 0: stop at the first boundary >= this many epoch steps
 	base      *checkpoint.Checkpoint
-	clock     trace.Clock
+	clock     trace.Clock // read once, at a rebuilt world's barrier
 }
 
 // snapshotRec is one in-memory checkpoint taken at an epoch step boundary.
@@ -409,18 +407,22 @@ type epochOutcome struct {
 	err     error
 }
 
+// newOutcome sizes an outcome's per-step records for `steps` steps.
+func newOutcome(steps int) *epochOutcome {
+	return &epochOutcome{res: &Result{
+		Losses:     make([]float64, steps),
+		Accuracies: make([]float64, steps),
+	}}
+}
+
 // runEpoch runs one world epoch: builds (or reuses) the fabric, spawns the
 // rank goroutines, and joins their errors. The chaos world is created once
 // at epoch 0 and reused for full-size epochs (rejoin readmits the crashed
 // ranks on it); shrunk epochs get a fresh clean world, since a world's size
 // is fixed at construction.
 func runEpoch(spec epochSpec, chaosW **comm.ChaosWorld) *epochOutcome {
-	n := spec.workers
-	steps := spec.job.Steps - spec.stepBase
-	out := &epochOutcome{res: &Result{
-		Losses:     make([]float64, steps),
-		Accuracies: make([]float64, steps),
-	}}
+	n := spec.job.Workers
+	out := newOutcome(spec.job.Steps - spec.stepBase)
 	shared, err := strategies.NewShared(spec.job.Strategy, spec.job.Model, n)
 	if err != nil {
 		out.err = err
@@ -473,7 +475,7 @@ func runEpoch(spec epochSpec, chaosW **comm.ChaosWorld) *epochOutcome {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = elasticRank(spec, transports[i], shared, out, &mu)
+			errs[i] = runRank(spec, transports[i], shared, out, &mu)
 		}(i)
 	}
 	wg.Wait()
@@ -482,204 +484,33 @@ func runEpoch(spec epochSpec, chaosW **comm.ChaosWorld) *epochOutcome {
 	return out
 }
 
-// elasticRank is runRank's elastic counterpart: timeout, loop, Leave on
-// failure so the cascade stays clean.
-func elasticRank(spec epochSpec, raw comm.Transport, shared *strategies.Shared, out *epochOutcome, mu *sync.Mutex) error {
-	if spec.job.RecvTimeout > 0 {
-		if ts, ok := raw.(comm.TimeoutSetter); ok {
-			ts.SetRecvTimeout(spec.job.RecvTimeout)
-		}
-	}
-	err := elasticRankLoop(spec, raw, shared, out, mu)
-	if err != nil {
-		if l, ok := raw.(comm.Leaver); ok {
-			l.Leave(err)
-		}
-	}
-	return err
-}
-
-func elasticRankLoop(spec epochSpec, raw comm.Transport, shared *strategies.Shared, out *epochOutcome, mu *sync.Mutex) error {
-	rec := metrics.NewOpRecorder()
-	cm := collective.NewCommunicator(raw,
-		collective.WithChunkBytes(chunkBytesOf(spec.job.ChunkBytes)),
-		collective.WithObserver(rec),
-		collective.WithEpoch(spec.epoch))
-	defer func() {
-		mu.Lock()
-		out.res.Comm = out.res.Comm.Add(rec.Total())
-		out.res.addCommPerOp(rec.PerOp())
-		mu.Unlock()
-	}()
-
-	// Per-rank restore. EmbRace ranks slice exactly their new columns out
-	// of the snapshot (checkpoint.ColumnShard follows the same ColumnWise
-	// tiling the remap plan describes); replicated-table strategies restore
-	// the full table. Trunk parameters warm-start everywhere.
-	cfg := spec.job.Model
-	var opts []strategies.WorkerOption
-	if spec.base != nil {
-		cfg.InitTrunk = trunkParamsOf(spec.base)
-		if spec.job.Strategy == strategies.EmbRace {
-			shard, err := spec.base.ColumnShard("emb", cm.Size(), cm.Rank())
-			if err != nil {
-				return fmt.Errorf("rank %d: restoring remapped shard: %w", cm.Rank(), err)
-			}
-			opts = append(opts, strategies.WithEmbShard(shard))
-		} else {
-			cfg.InitEmbedding = spec.base.Params["emb"]
-		}
-	}
-	w, err := strategies.NewWorker(spec.job.Strategy, cm, cfg, shared, opts...)
-	if err != nil {
-		return err
-	}
-
-	// The world barrier: no rank's step traffic flows until every rank has
-	// stood up its restored worker in the new epoch plane.
-	if err := cm.Barrier(opElasticBarrier, 0); err != nil {
-		return attribute(cm.Rank(), -1, "world barrier", err)
-	}
-	if cm.Rank() == 0 {
-		mu.Lock()
-		out.readyAt = spec.clock()
-		mu.Unlock()
-	}
-
-	gen, err := data.NewGenerator(spec.job.Data, spec.job.DataSeed+int64(cm.Rank()))
-	if err != nil {
-		return err
-	}
-	loader := data.NewLoader(gen)
-	for skip := 0; skip < spec.job.SkipBatches+spec.stepBase; skip++ {
-		loader.Next()
-	}
-
-	steps := spec.job.Steps - spec.stepBase
-	for s := 0; s < steps; s++ {
-		gStep := spec.stepBase + s // attribution in global step numbers
-		batch := loader.Next()
-		next := loader.Peek()
-		windows, targets := WindowsTargets(batch, spec.job.Window)
-		stats, err := w.Step(s, windows, targets, next.Tokens())
-		if err != nil {
-			return attribute(cm.Rank(), gStep, "train step", err)
-		}
-		all, err := collective.GatherVia(cm, strategies.OpStats, s, 0, stats)
-		if err != nil {
-			return attribute(cm.Rank(), gStep, "stats gather", err)
-		}
-		if cm.Rank() == 0 {
-			var sum float64
-			correct, count := 0, 0
-			for _, st := range all {
-				sum += st.Loss
-				correct += st.Correct
-				count += st.Count
-			}
-			mu.Lock()
-			out.res.Losses[s] = sum / float64(len(all))
-			if count > 0 {
-				out.res.Accuracies[s] = float64(correct) / float64(count)
-			}
-			mu.Unlock()
-		}
-		mu.Lock()
-		out.res.TokensTrained += batch.NonPad
-		mu.Unlock()
-
-		// The stepped ctl handshake: rank 0 decides the boundary's fate
-		// from shared counters and sends the verdict point-to-point;
-		// followers obey what they receive — the driver/follower shape of
-		// serve's reload protocol, one decision per step boundary.
-		done := s + 1
-		decision := ctlContinue
-		if cm.Rank() == 0 {
-			decision = boundaryDecision(done, steps, spec.ckptEvery, spec.stopAfter)
-			for p := 1; p < cm.Size(); p++ {
-				if err := cm.Send(opElasticCtl, s, p, decision); err != nil {
-					return attribute(cm.Rank(), gStep, "ctl handshake", err)
-				}
-			}
-		} else {
-			v, err := cm.Recv(opElasticCtl, s, 0)
-			if err != nil {
-				return attribute(cm.Rank(), gStep, "ctl handshake", err)
-			}
-			d, ok := v.(int)
-			if !ok {
-				return fmt.Errorf("rank %d: ctl payload %T, want int", cm.Rank(), v)
-			}
-			decision = d
-		}
-		if err := cm.Release(opElasticCtl, s); err != nil {
-			return err
-		}
-		if decision == ctlContinue {
-			continue
-		}
-		// Snapshot: FullEmbedding is collective (EmbRace gathers shards;
-		// it also harvests the in-flight delayed exchange first, which the
-		// next step would have applied before any other mutation anyway —
-		// the reason snapshot boundaries stay bit-exact under Sched2D).
-		emb, err := w.FullEmbedding()
-		if err != nil {
-			return attribute(cm.Rank(), gStep, "checkpoint gather", err)
-		}
-		if cm.Rank() == 0 {
-			ckpt := snapshotCheckpoint(spec.job.SkipBatches+spec.stepBase+done, emb, w)
-			mu.Lock()
-			out.snaps = append(out.snaps, snapshotRec{steps: done, ckpt: ckpt})
-			if decision == ctlStop {
-				out.stopped = true
-			}
-			mu.Unlock()
-		}
-		if decision == ctlStop {
-			return nil
-		}
-	}
-
-	emb, err := w.FullEmbedding()
-	if err != nil {
-		return attribute(cm.Rank(), -1, "final embedding", err)
-	}
-	if cm.Rank() == 0 {
-		mu.Lock()
-		out.res.Embedding = emb
-		out.res.Trunk = w.Trunk()
-		mu.Unlock()
-	}
-	return nil
-}
-
-// boundaryDecision is rank 0's per-boundary verdict: stop (to readmit)
-// beats checkpoint, and the epoch's final boundary always continues — the
-// natural end of the loop gathers final state instead.
-func boundaryDecision(done, steps, every, stopAfter int) int {
+// boundaryDecision is every rank's verdict on the boundary after `done` of
+// an epoch's `steps` steps: snapshot, and whether to stop there (to readmit
+// recovered ranks) after snapshotting. Stop beats the checkpoint cadence,
+// and the epoch's final boundary does neither — the natural end of the loop
+// gathers final state instead. Its inputs are the spec every rank received,
+// so all ranks agree without exchanging a message.
+func boundaryDecision(done, steps, every, stopAfter int) (snapshot, stop bool) {
 	if done >= steps {
-		return ctlContinue
+		return false, false
 	}
 	if stopAfter > 0 && done >= stopAfter {
-		return ctlStop
+		return true, true
 	}
-	if every > 0 && done%every == 0 {
-		return ctlCheckpoint
-	}
-	return ctlContinue
+	return every > 0 && done%every == 0, false
 }
 
 // snapshotCheckpoint seals one boundary's state. Everything is cloned: the
 // epoch keeps training on the live tensors the moment the boundary passes.
 func snapshotCheckpoint(step int, emb *tensor.Dense, w strategies.Worker) *checkpoint.Checkpoint {
 	params := map[string]*tensor.Dense{"emb": emb.Clone()}
-	for _, p := range w.Trunk().Params() {
+	for _, p := range w.DenseParams() {
 		params[p.Name] = p.Tensor.Clone()
 	}
 	return &checkpoint.Checkpoint{Step: step, Params: params}
 }
 
-// trunkParamsOf extracts the trunk warm-start map from a snapshot.
+// trunkParamsOf extracts the dense warm-start map from a snapshot.
 func trunkParamsOf(c *checkpoint.Checkpoint) map[string]*tensor.Dense {
 	out := make(map[string]*tensor.Dense, len(c.Params))
 	for name, p := range c.Params {

@@ -113,11 +113,11 @@ func stitchedReference(t *testing.T, job ElasticJob, epochs []EpochInfo) *Result
 		copy(ref.Accuracies[ep.StartStep:ep.EndStep], res.Accuracies)
 		emb = res.Embedding
 		trunk = make(map[string]*tensor.Dense)
-		for _, p := range res.Trunk.Params() {
+		for _, p := range res.DenseParams {
 			trunk[p.Name] = p.Tensor
 		}
 		ref.Embedding = res.Embedding
-		ref.Trunk = res.Trunk
+		ref.DenseParams = res.DenseParams
 	}
 	return ref
 }
@@ -235,6 +235,38 @@ func TestElasticShrinkAllReduceStrategy(t *testing.T) {
 	}
 	ref := stitchedReference(t, job, res.Epochs)
 	sameResult(t, "allreduce shrink", ref, &res.Result)
+}
+
+// The recurrent model shrinks like the replicated-table strategies: the
+// survivors restore its embedding and GRU parameters by name. The crash hits
+// the whole-gradient AllGather of step 4.
+func TestElasticShrinkRecurrentModel(t *testing.T) {
+	job := elasticJob(4, 12)
+	job.Strategy = strategies.HorovodAllGather
+	job.Model.Recurrent = true
+	plan, err := CrashPlan(elasticSeeds(1)[0], 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tag, err := collective.TagOf(strategies.OpEmbGrad, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Rules[0].Match = func(pt comm.FaultPoint) bool { return pt.Tag == tag }
+	job.Chaos = &plan
+
+	res, err := runElasticWithGuard(t, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Recoveries != 1 || res.Epochs[0].Fault == nil || res.Epochs[0].Fault.Step != 4 {
+		t.Fatalf("recoveries %d, epoch 0 %+v: want one fault at step 4", res.Recoveries, res.Epochs[0])
+	}
+	if len(res.Epochs[1].Moves) != 0 {
+		t.Fatalf("replicated-table shrink planned moves: %v", res.Epochs[1].Moves)
+	}
+	ref := stitchedReference(t, job, res.Epochs)
+	sameResult(t, "recurrent shrink", ref, &res.Result)
 }
 
 // Without Rejoin the run finishes at the shrunk size: two epochs, the

@@ -24,7 +24,7 @@ func TestRankFailurePropagates(t *testing.T) {
 func TestSeqRunWorkerCountMismatchFailsFast(t *testing.T) {
 	j := seqJob()
 	j.Workers = -1
-	if _, err := RunSeq(j); err == nil {
+	if _, err := Run(j); err == nil {
 		t.Fatal("expected validation error")
 	}
 }

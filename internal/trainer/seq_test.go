@@ -1,21 +1,30 @@
 package trainer
 
 import (
+	"strings"
 	"testing"
 
+	"embrace/internal/comm"
 	"embrace/internal/data"
+	"embrace/internal/strategies"
 )
 
-func seqJob() SeqJob {
-	return SeqJob{
-		Workers: 3,
-		Steps:   6,
-		Window:  5,
-		Vocab:   60,
-		EmbDim:  6,
-		Hidden:  8,
-		LR:      0.02,
-		Seed:    21,
+// seqConfig is the recurrent model's configuration: Adam under
+// HorovodAllGather, whole updates unless a test asks for Sched2D.
+func seqConfig(vocab, embDim, hidden int, lr float32, seed int64) strategies.Config {
+	return strategies.Config{
+		Seed: seed, Vocab: vocab, EmbDim: embDim, Hidden: hidden,
+		Recurrent: true, Optimizer: strategies.OptAdam, LR: lr,
+	}
+}
+
+func seqJob() Job {
+	return Job{
+		Strategy: strategies.HorovodAllGather,
+		Workers:  3,
+		Steps:    6,
+		Window:   5,
+		Model:    seqConfig(60, 6, 8, 0.02, 21),
 		Data: data.Config{
 			VocabSize:      60,
 			BatchSentences: 6,
@@ -32,15 +41,15 @@ func TestSeqJobValidate(t *testing.T) {
 	if err := seqJob().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cases := []func(*SeqJob){
-		func(j *SeqJob) { j.Workers = 0 },
-		func(j *SeqJob) { j.Steps = 0 },
-		func(j *SeqJob) { j.Window = 0 },
-		func(j *SeqJob) { j.Window = 6 }, // >= MinSeqLen
-		func(j *SeqJob) { j.Vocab = 61 },
-		func(j *SeqJob) { j.EmbDim = 0 },
-		func(j *SeqJob) { j.LR = 0 },
-		func(j *SeqJob) { j.Data.ZipfS = 0.5 },
+	cases := []func(*Job){
+		func(j *Job) { j.Workers = 0 },
+		func(j *Job) { j.Steps = 0 },
+		func(j *Job) { j.Window = 0 },
+		func(j *Job) { j.Window = 6 }, // >= MinSeqLen
+		func(j *Job) { j.Model.Vocab = 61 },
+		func(j *Job) { j.Model.EmbDim = 0 },
+		func(j *Job) { j.Model.LR = 0 },
+		func(j *Job) { j.Data.ZipfS = 0.5 },
 	}
 	for i, mutate := range cases {
 		j := seqJob()
@@ -54,8 +63,8 @@ func TestSeqJobValidate(t *testing.T) {
 func TestRunSeqTrains(t *testing.T) {
 	j := seqJob()
 	j.Steps = 25
-	j.Vertical = true
-	res, err := RunSeq(j)
+	j.Model.Sched = strategies.Sched2D
+	res, err := Run(j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +90,13 @@ func TestRunSeqTrains(t *testing.T) {
 // Adam must be bit-identical to whole updates.
 func TestRunSeqVerticalEqualsWhole(t *testing.T) {
 	whole := seqJob()
-	res1, err := RunSeq(whole)
+	res1, err := Run(whole)
 	if err != nil {
 		t.Fatal(err)
 	}
 	split := seqJob()
-	split.Vertical = true
-	res2, err := RunSeq(split)
+	split.Model.Sched = strategies.Sched2D
+	res2, err := Run(split)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +113,12 @@ func TestRunSeqVerticalEqualsWhole(t *testing.T) {
 func TestRunSeqOverTCP(t *testing.T) {
 	j := seqJob()
 	j.Steps = 3
-	inproc, err := RunSeq(j)
+	inproc, err := Run(j)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.OverTCP = true
-	tcp, err := RunSeq(j)
+	tcp, err := Run(j)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +132,7 @@ func TestRunSeqOverTCP(t *testing.T) {
 func TestRunSeqRejectsInvalid(t *testing.T) {
 	j := seqJob()
 	j.Window = 0
-	if _, err := RunSeq(j); err == nil {
+	if _, err := Run(j); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
@@ -144,21 +153,24 @@ var realText = []string{
 	"the old man slept by the calm sea",
 }
 
-func TestRunSeqOnRealText(t *testing.T) {
-	j := SeqJob{
-		Workers:   2,
-		Steps:     30,
-		Window:    5,
-		Vocab:     64,
-		EmbDim:    8,
-		Hidden:    12,
-		LR:        0.03,
-		Vertical:  true,
-		Seed:      13,
-		Text:      realText,
-		TextBatch: 3,
+// textJob trains the recurrent model on realText with Algorithm 1: two
+// workers, three sentences per batch.
+func textJob() Job {
+	j := Job{
+		Strategy: strategies.HorovodAllGather,
+		Workers:  2,
+		Steps:    30,
+		Window:   5,
+		Model:    seqConfig(64, 8, 12, 0.03, 13),
+		Text:     realText,
+		Data:     data.Config{BatchSentences: 3},
 	}
-	res, err := RunSeq(j)
+	j.Model.Sched = strategies.Sched2D
+	return j
+}
+
+func TestRunSeqOnRealText(t *testing.T) {
+	res, err := Run(textJob())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,18 +187,17 @@ func TestRunSeqOnRealText(t *testing.T) {
 }
 
 func TestRunSeqTextVerticalEqualsWhole(t *testing.T) {
-	mk := func(vertical bool) SeqJob {
-		return SeqJob{
-			Workers: 2, Steps: 5, Window: 5,
-			Vocab: 64, EmbDim: 8, Hidden: 12, LR: 0.03,
-			Vertical: vertical, Seed: 13, Text: realText, TextBatch: 3,
-		}
+	mk := func(sched strategies.SchedMode) Job {
+		j := textJob()
+		j.Steps = 5
+		j.Model.Sched = sched
+		return j
 	}
-	whole, err := RunSeq(mk(false))
+	whole, err := Run(mk(strategies.SchedNone))
 	if err != nil {
 		t.Fatal(err)
 	}
-	split, err := RunSeq(mk(true))
+	split, err := Run(mk(strategies.Sched2D))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,13 +209,31 @@ func TestRunSeqTextVerticalEqualsWhole(t *testing.T) {
 }
 
 func TestRunSeqTextValidation(t *testing.T) {
-	j := SeqJob{Workers: 2, Steps: 1, Window: 5, Vocab: 2, EmbDim: 4, Hidden: 4, LR: 0.01, Text: realText}
-	if _, err := RunSeq(j); err == nil {
-		t.Fatal("expected tiny-vocab error")
+	j := Job{Strategy: strategies.HorovodAllGather, Workers: 2, Steps: 1, Window: 5, Model: seqConfig(2, 4, 4, 0.01, 0), Text: realText, Data: data.Config{BatchSentences: 3}}
+	if _, err := Run(j); err == nil || !strings.Contains(err.Error(), "vocab") {
+		t.Fatalf("expected tiny-vocab error, got %v", err)
 	}
 	// Too few sentences for the shard.
-	j2 := SeqJob{Workers: 8, Steps: 1, Window: 5, Vocab: 64, EmbDim: 4, Hidden: 4, LR: 0.01, Text: realText[:4], TextBatch: 3}
-	if _, err := RunSeq(j2); err == nil {
+	j2 := Job{Strategy: strategies.HorovodAllGather, Workers: 8, Steps: 1, Window: 5, Model: seqConfig(64, 4, 4, 0.01, 0), Text: realText[:4], Data: data.Config{BatchSentences: 3}}
+	if _, err := Run(j2); err == nil {
 		t.Fatal("expected shard-size error")
+	}
+}
+
+// Text mode shards its sentences across the ranks of one process: the
+// multi-process and elastic entry points reject it up front.
+func TestTextModeRunsOnlyInRun(t *testing.T) {
+	j := textJob()
+	err := comm.RunRanks(j.Workers, func(tr comm.Transport) error {
+		if _, err := RunWorker(j, tr); err == nil || !strings.Contains(err.Error(), "text mode") {
+			t.Errorf("RunWorker: expected text-mode rejection, got %v", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunElastic(ElasticJob{Job: j}); err == nil || !strings.Contains(err.Error(), "Text") {
+		t.Fatalf("RunElastic: expected text rejection, got %v", err)
 	}
 }

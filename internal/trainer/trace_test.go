@@ -47,30 +47,44 @@ func TestTraceDisabledLeavesResultBare(t *testing.T) {
 }
 
 func TestTraceRunRecordsEveryRank(t *testing.T) {
-	job := tracedJob(2, 4)
-	res, err := Run(job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Traces) != 2 {
-		t.Fatalf("%d traces, want 2", len(res.Traces))
-	}
-	for rank, r := range res.Traces {
-		if r == nil {
-			t.Fatalf("rank %d recorder missing", rank)
+	gru := seqJob()
+	gru.Workers = 2
+	gru.Steps = 4
+	gru.Model.Sched = strategies.Sched2D
+	gru.Trace = true
+	for _, tc := range []struct {
+		job    Job
+		phases []string
+	}{
+		{tracedJob(2, 4), []string{"step", strategies.SpanFP, strategies.SpanBP,
+			strategies.SpanPriorExchange, strategies.SpanDelayedExchange, strategies.SpanVSplit}},
+		{gru, []string{"step", strategies.SpanFPBP,
+			strategies.SpanPriorExchange, strategies.SpanDelayedExchange, strategies.SpanVSplit}},
+	} {
+		job := tc.job
+		res, err := Run(job)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Rank() != rank {
-			t.Fatalf("trace slot %d holds rank %d", rank, r.Rank())
+		if len(res.Traces) != 2 {
+			t.Fatalf("%d traces, want 2", len(res.Traces))
 		}
-		steps := spansOf(r, "step")
-		if len(steps) != job.Steps {
-			t.Fatalf("rank %d: %d step spans, want %d", rank, len(steps), job.Steps)
+		for rank, r := range res.Traces {
+			if r == nil {
+				t.Fatalf("rank %d recorder missing", rank)
+			}
+			if r.Rank() != rank {
+				t.Fatalf("trace slot %d holds rank %d", rank, r.Rank())
+			}
+			steps := spansOf(r, "step")
+			if len(steps) != job.Steps {
+				t.Fatalf("rank %d: %d step spans, want %d", rank, len(steps), job.Steps)
+			}
 		}
-	}
-	for _, phase := range []string{"step", strategies.SpanFP, strategies.SpanBP,
-		strategies.SpanPriorExchange, strategies.SpanDelayedExchange, strategies.SpanVSplit} {
-		if res.PhaseSeconds[phase] <= 0 {
-			t.Fatalf("PhaseSeconds[%q] = %g, want > 0", phase, res.PhaseSeconds[phase])
+		for _, phase := range tc.phases {
+			if res.PhaseSeconds[phase] <= 0 {
+				t.Fatalf("PhaseSeconds[%q] = %g, want > 0", phase, res.PhaseSeconds[phase])
+			}
 		}
 	}
 }

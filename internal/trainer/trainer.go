@@ -8,6 +8,7 @@ package trainer
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -35,8 +36,15 @@ type Job struct {
 	// Model is the strategy/model configuration.
 	Model strategies.Config
 	// Data describes the synthetic corpus; VocabSize must match
-	// Model.Vocab.
+	// Model.Vocab. In text mode only BatchSentences is read.
 	Data data.Config
+	// Text, when non-empty, trains on real sentences instead of the
+	// synthetic corpus (text mode): a tokenizer built over all of them,
+	// capped at Model.Vocab ids, sizes the model's vocabulary, and rank r
+	// of N trains on every N-th sentence from r, Data.BatchSentences per
+	// batch, each padded or truncated to Window+1 tokens. Only Run trains
+	// text mode; RunWorker and RunElastic reject it.
+	Text []string
 	// DataSeed offsets the per-rank data streams; rank r draws from
 	// DataSeed + r. All strategies with the same DataSeed see identical
 	// batches, which the equivalence tests require.
@@ -99,19 +107,53 @@ func (j Job) Validate() error {
 	if j.Steps <= 0 {
 		return fmt.Errorf("trainer: steps must be positive, got %d", j.Steps)
 	}
-	if j.Window <= 0 || j.Window >= j.Data.MinSeqLen {
-		return fmt.Errorf("trainer: window %d must be in [1, MinSeqLen-1=%d]", j.Window, j.Data.MinSeqLen-1)
-	}
-	if j.Data.VocabSize != j.Model.Vocab {
-		return fmt.Errorf("trainer: data vocab %d != model vocab %d", j.Data.VocabSize, j.Model.Vocab)
+	if len(j.Text) > 0 {
+		if j.Window <= 0 {
+			return fmt.Errorf("trainer: window %d must be positive", j.Window)
+		}
+	} else {
+		if j.Window <= 0 || j.Window >= j.Data.MinSeqLen {
+			return fmt.Errorf("trainer: window %d must be in [1, MinSeqLen-1=%d]", j.Window, j.Data.MinSeqLen-1)
+		}
+		if j.Data.VocabSize != j.Model.Vocab {
+			return fmt.Errorf("trainer: data vocab %d != model vocab %d", j.Data.VocabSize, j.Model.Vocab)
+		}
+		if err := j.Data.Validate(); err != nil {
+			return err
+		}
 	}
 	if j.Chaos != nil && j.OverTCP {
 		return fmt.Errorf("trainer: chaos injection runs over the in-process fabric; drop OverTCP")
 	}
-	if err := j.Model.Validate(j.Workers); err != nil {
-		return err
+	return j.Model.Validate(j.Workers)
+}
+
+// textTokenizer builds text mode's tokenizer over every sentence of Text,
+// capped at Model.Vocab ids, and sizes the model to its vocabulary. It
+// returns nil outside text mode.
+func (j *Job) textTokenizer() (*data.Tokenizer, error) {
+	if len(j.Text) == 0 {
+		return nil, nil
 	}
-	return j.Data.Validate()
+	tok, err := data.BuildTokenizer(strings.Join(j.Text, " "), j.Model.Vocab)
+	if err != nil {
+		return nil, err
+	}
+	j.Model.Vocab = tok.VocabSize()
+	return tok, nil
+}
+
+// newStream builds one rank's batch stream: its seeded synthetic corpus, or
+// in text mode its interleaved shard of the sentences.
+func newStream(job Job, tok *data.Tokenizer, rank, size int) (data.Stream, error) {
+	if tok != nil {
+		return data.NewTextLoader(tok, job.Text, job.Data.BatchSentences, job.Window+1, rank, size)
+	}
+	gen, err := data.NewGenerator(job.Data, job.DataSeed+int64(rank))
+	if err != nil {
+		return nil, err
+	}
+	return data.NewLoader(gen), nil
 }
 
 // Result reports a completed run.
@@ -123,8 +165,8 @@ type Result struct {
 	Accuracies []float64
 	// Embedding is the final full embedding table as seen from rank 0.
 	Embedding *tensor.Dense
-	// Trunk is rank 0's final dense parameters.
-	Trunk *nn.Trunk
+	// DenseParams is rank 0's final dense (non-embedding) parameters.
+	DenseParams []nn.NamedParam
 	// TokensTrained counts non-pad tokens consumed across all ranks, the
 	// numerator of the paper's tokens/sec metric.
 	TokensTrained int
@@ -194,15 +236,16 @@ func Run(job Job) (*Result, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err
 	}
+	tok, err := job.textTokenizer()
+	if err != nil {
+		return nil, err
+	}
 	shared, err := strategies.NewShared(job.Strategy, job.Model, job.Workers)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &Result{
-		Losses:     make([]float64, job.Steps),
-		Accuracies: make([]float64, job.Steps),
-	}
+	out := newOutcome(job.Steps)
 	var mu sync.Mutex
 
 	runRanks := comm.RunRanks
@@ -216,13 +259,13 @@ func Run(job Job) (*Result, error) {
 		}
 	}
 	runErr := runRanks(job.Workers, func(raw comm.Transport) error {
-		return runRank(job, raw, shared, res, &mu)
+		return runRank(epochSpec{job: job, tok: tok}, raw, shared, out, &mu)
 	})
 	// On failure the partial Result is returned WITH the error: the losses,
 	// accuracies and comm counters folded in before the fault are real
 	// progress a caller (the elastic supervisor above all) salvages, not
 	// state to discard. Entries past the fault step keep their zero values.
-	return res, runErr
+	return out.res, runErr
 }
 
 // FaultError attributes an unmaskable communication fault to where it
@@ -268,17 +311,17 @@ func attribute(rank, step int, phase string, err error) error {
 	return fmt.Errorf("rank %d step %d: %s: %w", rank, step, phase, err)
 }
 
-// runRank executes one rank's training loop, folding its results into res
+// runRank executes one rank's training loop, folding its results into out
 // under mu. A rank that fails announces its departure (comm.Leaver) so peers
 // blocked on it fail fast with an attributed error instead of hanging until
 // their own timeouts.
-func runRank(job Job, raw comm.Transport, shared *strategies.Shared, res *Result, mu *sync.Mutex) error {
-	if job.RecvTimeout > 0 {
+func runRank(spec epochSpec, raw comm.Transport, shared *strategies.Shared, out *epochOutcome, mu *sync.Mutex) error {
+	if spec.job.RecvTimeout > 0 {
 		if ts, ok := raw.(comm.TimeoutSetter); ok {
-			ts.SetRecvTimeout(job.RecvTimeout)
+			ts.SetRecvTimeout(spec.job.RecvTimeout)
 		}
 	}
-	err := runRankLoop(job, raw, shared, res, mu)
+	err := runRankLoop(spec, raw, shared, out, mu)
 	if err != nil {
 		if l, ok := raw.(comm.Leaver); ok {
 			l.Leave(err)
@@ -287,7 +330,12 @@ func runRank(job Job, raw comm.Transport, shared *strategies.Shared, res *Result
 	return err
 }
 
-func runRankLoop(job Job, raw comm.Transport, shared *strategies.Shared, res *Result, mu *sync.Mutex) error {
+// runRankLoop is the one per-rank step loop: Run, RunWorker and every
+// RunElastic epoch run it. A plain run is an epoch-0 spec whose elastic
+// inputs are all zero — nothing to restore, no barrier, no snapshots — so
+// its only traffic is the steps' own collectives and the final gather.
+func runRankLoop(spec epochSpec, raw comm.Transport, shared *strategies.Shared, out *epochOutcome, mu *sync.Mutex) error {
+	job := spec.job
 	rec := metrics.NewOpRecorder()
 	obs := collective.Observer(rec)
 	var tr *trace.Recorder
@@ -301,29 +349,66 @@ func runRankLoop(job Job, raw comm.Transport, shared *strategies.Shared, res *Re
 	}
 	cm := collective.NewCommunicator(raw,
 		collective.WithChunkBytes(chunkBytesOf(job.ChunkBytes)),
-		collective.WithObserver(obs))
+		collective.WithObserver(obs),
+		collective.WithEpoch(spec.epoch))
 	defer func() {
 		mu.Lock()
-		res.Comm = res.Comm.Add(rec.Total())
-		res.addCommPerOp(rec.PerOp())
+		out.res.Comm = out.res.Comm.Add(rec.Total())
+		out.res.addCommPerOp(rec.PerOp())
 		if tr != nil {
-			res.addTrace(tr)
+			out.res.addTrace(tr)
 		}
 		mu.Unlock()
 	}()
-	w, err := strategies.NewWorker(job.Strategy, cm, job.Model, shared, strategies.WithRecorder(tr))
+
+	// Per-rank restore from the supervisor's snapshot. EmbRace ranks slice
+	// exactly their new columns out of it (checkpoint.ColumnShard follows
+	// the same ColumnWise tiling the remap plan describes); replicated-table
+	// strategies restore the full table. Dense parameters warm-start
+	// everywhere, by name.
+	cfg := job.Model
+	opts := []strategies.WorkerOption{strategies.WithRecorder(tr)}
+	if spec.base != nil {
+		cfg.InitTrunk = trunkParamsOf(spec.base)
+		if job.Strategy == strategies.EmbRace {
+			shard, err := spec.base.ColumnShard("emb", cm.Size(), cm.Rank())
+			if err != nil {
+				return fmt.Errorf("rank %d: restoring remapped shard: %w", cm.Rank(), err)
+			}
+			opts = append(opts, strategies.WithEmbShard(shard))
+		} else {
+			cfg.InitEmbedding = spec.base.Params["emb"]
+		}
+	}
+	w, err := strategies.NewWorker(job.Strategy, cm, cfg, shared, opts...)
 	if err != nil {
 		return err
 	}
-	gen, err := data.NewGenerator(job.Data, job.DataSeed+int64(cm.Rank()))
+
+	// A rebuilt world's barrier: no rank's step traffic flows until every
+	// rank has stood up its restored worker in the new epoch plane.
+	if spec.epoch > 0 {
+		if err := cm.Barrier(opElasticBarrier, 0); err != nil {
+			return attribute(cm.Rank(), -1, "world barrier", err)
+		}
+		if cm.Rank() == 0 {
+			mu.Lock()
+			out.readyAt = spec.clock()
+			mu.Unlock()
+		}
+	}
+
+	loader, err := newStream(job, spec.tok, cm.Rank(), cm.Size())
 	if err != nil {
 		return err
 	}
-	loader := data.NewLoader(gen)
-	for skip := 0; skip < job.SkipBatches; skip++ {
+	for skip := 0; skip < job.SkipBatches+spec.stepBase; skip++ {
 		loader.Next()
 	}
-	for step := 0; step < job.Steps; step++ {
+
+	steps := job.Steps - spec.stepBase
+	for step := 0; step < steps; step++ {
+		gStep := spec.stepBase + step // attribution in global step numbers
 		batch := loader.Next()
 		next := loader.Peek()
 		windows, targets := WindowsTargets(batch, job.Window)
@@ -331,11 +416,11 @@ func runRankLoop(job Job, raw comm.Transport, shared *strategies.Shared, res *Re
 		stats, err := w.Step(step, windows, targets, next.Tokens())
 		sp.End()
 		if err != nil {
-			return attribute(cm.Rank(), step, "train step", err)
+			return attribute(cm.Rank(), gStep, "train step", err)
 		}
 		all, err := collective.GatherVia(cm, strategies.OpStats, step, 0, stats)
 		if err != nil {
-			return attribute(cm.Rank(), step, "stats gather", err)
+			return attribute(cm.Rank(), gStep, "stats gather", err)
 		}
 		if cm.Rank() == 0 {
 			var sum float64
@@ -346,15 +431,41 @@ func runRankLoop(job Job, raw comm.Transport, shared *strategies.Shared, res *Re
 				count += s.Count
 			}
 			mu.Lock()
-			res.Losses[step] = sum / float64(len(all))
+			out.res.Losses[step] = sum / float64(len(all))
 			if count > 0 {
-				res.Accuracies[step] = float64(correct) / float64(count)
+				out.res.Accuracies[step] = float64(correct) / float64(count)
 			}
 			mu.Unlock()
 		}
 		mu.Lock()
-		res.TokensTrained += batch.NonPad
+		out.res.TokensTrained += batch.NonPad
 		mu.Unlock()
+
+		// Every rank derives the boundary's fate from values all ranks
+		// hold, so the verdict needs no messages.
+		done := step + 1
+		snapshot, stop := boundaryDecision(done, steps, spec.ckptEvery, spec.stopAfter)
+		if !snapshot {
+			continue
+		}
+		// Snapshot: FullEmbedding is collective (EmbRace gathers shards;
+		// it also harvests the in-flight delayed exchange first, which the
+		// next step would have applied before any other mutation anyway —
+		// the reason snapshot boundaries stay bit-exact under Sched2D).
+		emb, err := w.FullEmbedding()
+		if err != nil {
+			return attribute(cm.Rank(), gStep, "checkpoint gather", err)
+		}
+		if cm.Rank() == 0 {
+			ckpt := snapshotCheckpoint(job.SkipBatches+spec.stepBase+done, emb, w)
+			mu.Lock()
+			out.snaps = append(out.snaps, snapshotRec{steps: done, ckpt: ckpt})
+			out.stopped = stop
+			mu.Unlock()
+		}
+		if stop {
+			return nil
+		}
 	}
 	// Collect final state. FullEmbedding is collective for EmbRace, so
 	// every rank participates; rank 0 keeps the result.
@@ -364,8 +475,8 @@ func runRankLoop(job Job, raw comm.Transport, shared *strategies.Shared, res *Re
 	}
 	if cm.Rank() == 0 {
 		mu.Lock()
-		res.Embedding = emb
-		res.Trunk = w.Trunk()
+		out.res.Embedding = emb
+		out.res.DenseParams = w.DenseParams()
 		mu.Unlock()
 	}
 	return nil
@@ -389,12 +500,12 @@ func RunWorker(job Job, t comm.Transport) (*Result, error) {
 	case strategies.Parallax, strategies.BytePS:
 		return nil, fmt.Errorf("trainer: %s needs process-shared parameter servers; use Run for single-process jobs", job.Strategy)
 	}
-	res := &Result{
-		Losses:     make([]float64, job.Steps),
-		Accuracies: make([]float64, job.Steps),
+	if len(job.Text) > 0 {
+		return nil, fmt.Errorf("trainer: text mode shards its sentences in one process; use Run")
 	}
+	out := newOutcome(job.Steps)
 	var mu sync.Mutex
 	// Like Run, a fault returns the partial Result alongside the error.
-	err := runRank(job, t, &strategies.Shared{}, res, &mu)
-	return res, err
+	err := runRank(epochSpec{job: job}, t, &strategies.Shared{}, out, &mu)
+	return out.res, err
 }

@@ -7,6 +7,7 @@ import (
 
 	"embrace/internal/data"
 	"embrace/internal/strategies"
+	"embrace/internal/tensor"
 )
 
 func testJob(name strategies.Name, workers int) Job {
@@ -34,6 +35,16 @@ func testJob(name strategies.Name, workers int) Job {
 		},
 		DataSeed: 1000,
 	}
+}
+
+// param returns the named dense parameter of a result.
+func param(res *Result, name string) *tensor.Dense {
+	for _, p := range res.DenseParams {
+		if p.Name == name {
+			return p.Tensor
+		}
+	}
+	return nil
 }
 
 func TestJobValidate(t *testing.T) {
@@ -87,7 +98,7 @@ func TestEveryStrategyRuns(t *testing.T) {
 				t.Fatalf("%s: loss[%d] = %v", name, i, l)
 			}
 		}
-		if res.Embedding == nil || res.Trunk == nil {
+		if res.Embedding == nil || res.DenseParams == nil {
 			t.Fatalf("%s: missing final state", name)
 		}
 		if res.TokensTrained <= 0 {
@@ -116,7 +127,7 @@ func TestCrossStrategyEquivalenceSGD(t *testing.T) {
 		if !res.Embedding.AllClose(ref.Embedding, 1e-4) {
 			t.Fatalf("%s embedding diverged by %v", name, res.Embedding.MaxAbsDiff(ref.Embedding))
 		}
-		if !res.Trunk.W1.AllClose(ref.Trunk.W1, 1e-4) || !res.Trunk.W2.AllClose(ref.Trunk.W2, 1e-4) {
+		if !param(res, "w1").AllClose(param(ref, "w1"), 1e-4) || !param(res, "w2").AllClose(param(ref, "w2"), 1e-4) {
 			t.Fatalf("%s trunk diverged", name)
 		}
 	}
