@@ -1,9 +1,9 @@
 // Serving-plane scale benchmarks: a 4-rank cluster over the real TCP fabric
 // serves a closed-loop Zipf workload with 1, 2, and 4 ingress drivers, so
 // qps / p50 / p99 price what the driver set buys — concurrent admission,
-// per-driver micro-batching, and per-driver tag planes — and the hot-set hit
-// rate shows how much of the Zipf head the replication manager keeps off the
-// fabric.
+// per-driver micro-batching, and owner-addressed fetches that never make
+// one driver wait on another — and the hot-set hit rate shows how much of
+// the Zipf head the replication manager keeps off the fabric.
 //
 // The sweep is weak scaling: each driver fronts a fixed closed-loop client
 // pool, so offered concurrency grows with the driver count while per-driver

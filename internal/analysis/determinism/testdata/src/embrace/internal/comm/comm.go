@@ -30,7 +30,7 @@ func delayFor(d time.Duration) {
 }
 
 func flagged() time.Duration {
-	start := time.Now() // want `time\.Now reads the wall clock in deterministic package comm`
+	start := time.Now()       // want `time\.Now reads the wall clock in deterministic package comm`
 	if rand.Float64() < 0.5 { // want `global rand\.Float64 in deterministic package comm`
 		return 0
 	}

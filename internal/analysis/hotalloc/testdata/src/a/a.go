@@ -43,7 +43,7 @@ func hot(n int) {
 
 //embrace:hotpath
 func divert(dst, src []int64) []int64 {
-	dst = append(src, 1) // want `grows fresh storage with append`
+	dst = append(src, 1)  // want `grows fresh storage with append`
 	return append(dst, 2) // want `grows fresh storage with append`
 }
 

@@ -15,9 +15,9 @@ import (
 // from internal/collective drifts out of them silently. These tests re-derive
 // the method set from the collective sources and hold the tables to it.
 
-// bookkeeping are the (op, step) Communicator methods that only resolve or
-// release a tag and never touch the transport.
-var bookkeeping = map[string]bool{"Tag": true, "Release": true}
+// bookkeeping are the (op, step) Communicator methods that only resolve a
+// tag and never touch the transport.
+var bookkeeping = map[string]bool{"Tag": true}
 
 // communicatorMethods parses internal/collective's non-test sources and
 // returns every exported *Communicator method with its flattened parameter

@@ -464,24 +464,11 @@ func (c *Communicator) release(tag int) {
 // LiveStreams returns the number of per-(peer, tag) send and receive
 // sequence streams the Communicator holds. Collectives release theirs on
 // return, so between collectives the count covers only point-to-point
-// streams not yet Released — the figure a leak check reads.
+// streams — the figure a leak check reads.
 func (c *Communicator) LiveStreams() int {
 	c.streamMu.Lock()
 	defer c.streamMu.Unlock()
 	return len(c.sends) + len(c.recvs)
-}
-
-// Release drops the stream state of (op, step) for point-to-point users of
-// Send and Recv — protocols like serving's control channel, whose every
-// (op, step) carries one message per peer. Call it on every rank once the
-// protocol is done with the step; collectives release their own tags.
-func (c *Communicator) Release(op string, step int) error {
-	tag, err := c.Tag(op, step)
-	if err != nil {
-		return err
-	}
-	c.release(tag)
-	return nil
 }
 
 // fault reports a fault event to the observer, when it cares.
@@ -612,10 +599,11 @@ func (c *Communicator) recvRaw(op string, from, tag int) (any, error) {
 }
 
 // Send delivers payload to rank `to` under the tag of (op, step) — the
-// point-to-point escape hatch for protocols (serving's control channel is
-// the one caller) that need raw messaging inside a Communicator-allocated
-// tag range. The stream state of a point-to-point
-// (op, step) lives until Release.
+// point-to-point escape hatch for protocols that need raw messaging inside a
+// Communicator-allocated tag range; serving's owner-addressed
+// request/response is the one caller. Each (peer, op, step) is one ordered
+// stream whose state lives as long as the Communicator, so callers use a
+// fixed set of (op, step) pairs.
 func (c *Communicator) Send(op string, step, to int, payload any) error {
 	tag, err := c.Tag(op, step)
 	if err != nil {

@@ -137,8 +137,8 @@ func TestCommunicatorAllReduceMatchesLegacy(t *testing.T) {
 // the summation order, so the comparison is bitwise.
 func TestChunkedAllReduceEqualsUnchunked(t *testing.T) {
 	prop := func(seed int64, nRaw, mRaw, chunkRaw uint8) bool {
-		n := 2 + int(nRaw)%4       // world size 2..5
-		m := 1 + int(mRaw)%257     // buffer length 1..257
+		n := 2 + int(nRaw)%4   // world size 2..5
+		m := 1 + int(mRaw)%257 // buffer length 1..257
 		rng := rand.New(rand.NewSource(seed))
 		// ChunkBytes ∈ {1 element … whole buffer}.
 		chunkBytes := (1 + int(chunkRaw)%m) * tensor.BytesPerElem

@@ -97,7 +97,9 @@ func (m *Transport) Stats() Stats {
 }
 
 // PayloadSize estimates the wire size of the payload types the training
-// stack sends. Unknown types count as zero (control messages).
+// stack sends. Message types that report their own size (a SizeBytes
+// method, like serving's fetch messages) count that; other unknown types
+// count as zero (control messages).
 func PayloadSize(payload any) int64 {
 	switch v := payload.(type) {
 	case comm.SeqFrame:
@@ -136,6 +138,8 @@ func PayloadSize(payload any) int64 {
 		return n
 	case nn.StepStats:
 		return 24
+	case interface{ SizeBytes() int }:
+		return int64(v.SizeBytes())
 	default:
 		return 0
 	}

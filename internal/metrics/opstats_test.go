@@ -35,8 +35,8 @@ func TestCompressionRatio(t *testing.T) {
 	}{
 		{"deflating codec", 1000, 250, 4},
 		{"inflating codec", 40, 64, 0.625},
-		{"no codec installed", 0, 0, 1},     // zero-wire guard: neutral, not NaN
-		{"all-empty exchange", 100, 0, 1},   // nothing hit the wire: neutral, not +Inf
+		{"no codec installed", 0, 0, 1},   // zero-wire guard: neutral, not NaN
+		{"all-empty exchange", 100, 0, 1}, // nothing hit the wire: neutral, not +Inf
 		{"identity codec", 500, 500, 1},
 	}
 	for _, tc := range cases {

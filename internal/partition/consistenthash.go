@@ -68,7 +68,10 @@ func ringFor(shards, vnodes int) *ring {
 		for v := 0; v < vnodes; v++ {
 			// Seed each point from (shard, vnode) so the ring is a pure
 			// function of the pair — no global state, no ordering effects.
-			h := splitmix64(uint64(s)<<32 | uint64(v))
+			// The second mix puts points in a different hash domain from
+			// tokens: with one mix, shard 0's point v would equal token v's
+			// hash, handing tokens 0..vnodes-1 (the Zipf head) to shard 0.
+			h := splitmix64(splitmix64(uint64(s)<<32 | uint64(v)))
 			pts = append(pts, ringPoint{hash: h, shard: s})
 		}
 	}

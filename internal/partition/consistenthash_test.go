@@ -114,3 +114,50 @@ func TestConsistentHashScheme(t *testing.T) {
 		t.Errorf("imbalance %v below 1 — arithmetic broken", st.Imbalance)
 	}
 }
+
+// TestConsistentHashSpreadsLowIDs pins the ring-point/token hash domains
+// apart. Low token ids are the Zipf head, so if ring points collide with
+// token hashes (point v of shard 0 == hash of token v) every head row lands
+// on shard 0. No shard may own more than twice its fair share of
+// [0, 2·Vnodes).
+func TestConsistentHashSpreadsLowIDs(t *testing.T) {
+	ch := ConsistentHash{}
+	tokens := make([]int64, 2*DefaultVnodes)
+	for i := range tokens {
+		tokens[i] = int64(i)
+	}
+	for _, n := range []int{2, 4, 8} {
+		fair := float64(len(tokens)) / float64(n)
+		for s, l := range ch.ShardLoads(tokens, n) {
+			if l > 2*fair {
+				t.Errorf("n=%d: shard %d owns %.0f of ids [0, %d), over 2x fair share %.0f",
+					n, s, l, len(tokens), fair)
+			}
+		}
+	}
+}
+
+// FuzzConsistentHashOwner checks the ring's ownership invariants for any
+// token and ring size: Owner lands in [0, n), is deterministic, agrees with
+// ShardLoads, and growing the ring from n to n+1 moves a token only onto the
+// new shard n. The seed corpus lives in testdata/fuzz.
+func FuzzConsistentHashOwner(f *testing.F) {
+	f.Fuzz(func(t *testing.T, tok int64, n8 uint8) {
+		n := int(n8%32) + 1
+		ch := ConsistentHash{}
+		got := ch.Owner(tok, n)
+		if got < 0 || got >= n {
+			t.Fatalf("Owner(%d, %d) = %d outside [0, %d)", tok, n, got, n)
+		}
+		if again := ch.Owner(tok, n); again != got {
+			t.Fatalf("Owner(%d, %d) unstable: %d then %d", tok, n, got, again)
+		}
+		if loads := ch.ShardLoads([]int64{tok}, n); loads[got] != 1 {
+			t.Fatalf("ShardLoads disagrees with Owner(%d, %d) = %d: %v", tok, n, got, loads)
+		}
+		if grown := ch.Owner(tok, n+1); grown != got && grown != n {
+			t.Fatalf("token %d moved from shard %d to %d when the ring grew %d -> %d; only moves onto shard %d are allowed",
+				tok, got, grown, n, n+1, n)
+		}
+	})
+}

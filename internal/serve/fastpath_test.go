@@ -73,7 +73,7 @@ func TestDriverOwnedLookupFastPath(t *testing.T) {
 		t.Errorf("driver-owned workload counted %d remote rows, want 0", st.RemoteRows)
 	}
 
-	// One remote-owned id forces the conscripted exchange and its packing.
+	// One remote-owned id forces a fetch from its owner and its packing.
 	remote := theirs[:1]
 	got, err := c.Lookup(ctx, remote)
 	if err != nil {

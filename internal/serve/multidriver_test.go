@@ -393,7 +393,7 @@ func TestDriverCrashIsolated(t *testing.T) {
 	ref := reference{m}
 
 	// Rank 1 (driver 1) dies on its first send. Nothing sends at boot, so
-	// the crash fires exactly when driver 1 first conscripts an exchange.
+	// the crash fires exactly when driver 1 first fetches a remote row.
 	plan := comm.FaultPlan{Seed: 1, Rules: []comm.FaultRule{
 		{Kind: comm.FaultCrash, Rate: 1, From: 1, To: comm.AnyRank},
 	}}
@@ -420,7 +420,7 @@ func TestDriverCrashIsolated(t *testing.T) {
 	}
 
 	// Several concurrent in-flight requests on driver 1, all needing rank-0
-	// rows: the ctl broadcast is driver 1's first send, so it crashes, and
+	// rows: the fetch request is driver 1's first send, so it crashes, and
 	// every request must come back with the typed error — promptly.
 	const inflight = 4
 	got := make(chan error, inflight)
@@ -550,7 +550,7 @@ func TestMultiDriverTCP(t *testing.T) {
 	defer c.Close()
 
 	for i, ids := range requestSet()[:12] {
-		got, err := c.RouterAt(i % 2).Lookup(context.Background(), ids)
+		got, err := c.RouterAt(i%2).Lookup(context.Background(), ids)
 		if err != nil {
 			t.Fatalf("tcp lookup %v: %v", ids, err)
 		}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
+	"embrace/internal/collective"
 	"embrace/internal/metrics"
 	"embrace/internal/partition"
 	"embrace/internal/tensor"
@@ -50,10 +52,11 @@ type response struct {
 	err   error
 }
 
-// reloadReq asks a driver to join the reload rendezvous between batches.
-// The checkpoint itself travels via Cluster.pending, set before fan-out.
-type reloadReq struct {
-	done chan error
+// park is one Reload's hold on the drivers: each driver takes it between
+// batches, clears its LRU, marks itself parked, and waits for resume.
+type park struct {
+	parked sync.WaitGroup
+	resume chan struct{}
 }
 
 // Router is one driver's front end: it admits concurrent Lookup and Predict
@@ -63,12 +66,16 @@ type reloadReq struct {
 // except the read-mostly hot set and their ranks' shards. All methods are
 // safe for concurrent use.
 type Router struct {
-	c        *Cluster
-	driver   int // the driver's rank == its tag plane
-	queue    chan *request
-	reloadCh chan *reloadReq
-	cache    *lruCache // nil when caching is disabled
-	ctr      counters
+	c      *Cluster
+	driver int // the driver's rank
+	queue  chan *request
+	parkCh chan *park
+	cache  *lruCache // nil when caching is disabled
+	ctr    counters
+
+	// batch numbers this driver's fetches; only the driver goroutine
+	// touches it.
+	batch int64
 
 	closedMu chan struct{} // closed exactly once by close(); nil-check via select
 }
@@ -78,7 +85,7 @@ func newRouter(c *Cluster, driver, depth int) *Router {
 		c:        c,
 		driver:   driver,
 		queue:    make(chan *request, depth),
-		reloadCh: make(chan *reloadReq),
+		parkCh:   make(chan *park),
 		closedMu: make(chan struct{}),
 	}
 	r.ctr.latency = metrics.NewHistogram()
@@ -180,21 +187,25 @@ func (r *Router) do(ctx context.Context, req *request) response {
 // Driver.
 // ---------------------------------------------------------------------------
 
-// driverLoop is a driver rank's life on its own plane: collect a micro-batch
-// from its router, resolve it, reply; interleave reloads between batches; on
-// Close, flush and release the plane's followers.
-func (c *Cluster) driverLoop(n *node) {
-	r := c.routers[n.plane]
+// driverLoop is a driver's life: collect a micro-batch from its router,
+// resolve it, reply; park between batches when a reload asks; on Close,
+// answer whatever is still queued.
+func (c *Cluster) driverLoop(r *Router) {
 	for {
 		select {
 		case <-c.closeCh:
-			c.shutdown(n, r)
+			c.shutdown(r)
 			return
-		case rr := <-r.reloadCh:
-			rr.done <- c.driverReload(n, r)
+		case p := <-r.parkCh:
+			r.cacheClear()
+			p.parked.Done()
+			select {
+			case <-p.resume:
+			case <-c.closeCh:
+			}
 		case req := <-r.queue:
 			batch := c.collectBatch(r, req)
-			c.processBatch(n, r, batch)
+			c.processBatch(r, batch)
 		}
 	}
 }
@@ -220,51 +231,31 @@ func (c *Cluster) collectBatch(r *Router, first *request) []*request {
 	return batch
 }
 
-// shutdown releases the plane's followers and answers everything still
-// queued on this driver.
-func (c *Cluster) shutdown(n *node, r *Router) {
-	if err := c.broadcastCtl(n, ctlShutdown); err != nil {
-		c.fail(fmt.Errorf("serve: driver %d shutdown broadcast: %w", n.plane, err))
-	}
+// shutdown answers everything still queued on this driver.
+func (c *Cluster) shutdown(r *Router) {
 	for {
 		select {
 		case req := <-r.queue:
 			req.done <- response{err: ErrClosed}
-		case rr := <-r.reloadCh:
-			rr.done <- ErrClosed
 		default:
 			return
 		}
 	}
 }
 
-// driverReload conscripts this plane into the cluster-wide reload: broadcast
-// ctlReload to the plane's followers, join the rendezvous (whose last
-// arrival rebuilds every rank and flushes the hot set), then drop this
-// driver's now-stale cache.
-func (c *Cluster) driverReload(n *node, r *Router) error {
-	if err := c.broadcastCtl(n, ctlReload); err != nil {
-		return fmt.Errorf("serve: driver %d reload broadcast: %w", n.plane, err)
-	}
-	if err := c.reloadRendezvous(n); err != nil {
-		return err
-	}
-	r.cacheClear()
-	return nil
-}
-
 // processBatch answers one micro-batch: drop expired requests, dedup ids,
-// resolve rows (cache, hot set, local shard, exchange), then compute and
-// reply.
-func (c *Cluster) processBatch(n *node, r *Router, batch []*request) {
+// resolve rows (cache, hot set, local shard, owners), then compute and
+// reply. A request that needs a row no owner could supply gets that owner's
+// error; the rest of the batch is answered normally.
+func (c *Cluster) processBatch(r *Router, batch []*request) {
 	r.ctr.batches.Add(1)
-	tr := c.tracers[n.rank]
+	tr := c.tracers[r.driver]
 	now := time.Now()
 	r.ctr.queueWait.ObserveDuration(now.Sub(batch[0].admitted))
 	tr.Record(trace.TrackCompute, "serve/queue-wait", -1, now.Sub(batch[0].admitted))
 
 	// Deadline gate: an expired request is answered now and excluded, so it
-	// never occupies an exchange slot.
+	// never occupies a fetch.
 	live := batch[:0]
 	for _, req := range batch {
 		if !req.deadline.IsZero() && now.After(req.deadline) {
@@ -293,25 +284,36 @@ func (c *Cluster) processBatch(n *node, r *Router, batch []*request) {
 	}
 	r.ctr.coalesced.Add(int64(total - len(need)))
 
-	rows, err := c.resolve(n, r, need)
-	if err != nil {
-		c.fail(err)
-		for _, req := range live {
+	rows, failed := c.resolve(r, need)
+	served := live[:0]
+	for _, req := range live {
+		if err := firstFailure(req.ids, failed); err != nil {
 			req.done <- response{err: err}
+			continue
 		}
-		return
+		served = append(served, req)
 	}
+	c.reply(r, served, rows)
+}
 
-	c.reply(n, live, rows)
+// firstFailure returns the fetch error of the first id in ids that could
+// not be resolved, or nil.
+func firstFailure(ids []int64, failed map[int64]error) error {
+	for _, id := range ids {
+		if err, ok := failed[id]; ok {
+			return err
+		}
+	}
+	return nil
 }
 
 // resolve maps each unique id to its full embedding row: this driver's LRU
 // first, then the cluster-wide replicated hot set, and only for what's left
-// the shards (conscripting the plane when remote rows are involved). Every
-// access feeds the hot set's frequency tracker, so rows any driver keeps
-// seeing get promoted into replicas all drivers serve locally.
-func (c *Cluster) resolve(n *node, r *Router, need []int64) (map[int64][]float32, error) {
-	rows := make(map[int64][]float32, len(need))
+// the shards. Every access feeds the hot set's frequency tracker, so rows
+// any driver keeps seeing get promoted into replicas all drivers serve
+// locally. Ids whose owner failed are returned in failed instead.
+func (c *Cluster) resolve(r *Router, need []int64) (rows map[int64][]float32, failed map[int64]error) {
+	rows = make(map[int64][]float32, len(need))
 	var miss []int64
 	for _, id := range need {
 		if row, ok := r.cacheGet(id); ok {
@@ -325,114 +327,158 @@ func (c *Cluster) resolve(n *node, r *Router, need []int64) (map[int64][]float32
 		miss = append(miss, id)
 	}
 	if len(miss) > 0 {
-		tr := c.tracers[n.rank]
-		span := tr.Begin(trace.TrackCompute, "serve/xchg", -1)
-		fetched, err := c.fetchRows(n, r, miss)
+		span := c.tracers[r.driver].Begin(trace.TrackCompute, "serve/xchg", -1)
+		fetched, bad := c.fetchRows(r, miss)
 		span.End()
-		if err != nil {
-			return nil, err
-		}
 		for id, row := range fetched {
 			rows[id] = row
 			r.cachePut(id, row)
 		}
+		failed = bad
 	}
 	// One frequency update per batch over the deduplicated set, with every
 	// resolved value in hand for promotion. Hot-set rows are bit-exact copies
 	// of what this lookup path just served, so replica hits on any driver
 	// return exactly what a shard fetch would.
 	c.hot.touchAll(need, rows)
-	return rows, nil
+	return rows, failed
 }
 
-// fetchRows resolves misses from the shards. The row schemes route each id
-// to its owner and skip the cross-rank exchange entirely when this driver's
-// rank owns every miss; column-wise asks every rank for its column slice of
-// every miss and reassembles (single-rank clusters short-circuit to a local
-// fetch).
-func (c *Cluster) fetchRows(n *node, r *Router, miss []int64) (map[int64][]float32, error) {
-	ranks := c.cfg.Ranks
-	reqLists := make([][]int64, ranks)
+// fetchRows resolves misses from the shards that own them. The row schemes
+// ask each id's owner for its full row; column-wise asks every rank for its
+// column slice of every miss and reassembles. The driver's own share is read
+// straight from its shard — no packing, no messages — and every other owner
+// gets one request, all sent before any reply is awaited. An owner that
+// fails (down, timed out, or refusing) fails only the ids it was asked for.
+func (c *Cluster) fetchRows(r *Router, miss []int64) (rows map[int64][]float32, failed map[int64]error) {
+	ranks, self := c.cfg.Ranks, r.driver
+	asks := make([][]int64, ranks)
 	switch c.cfg.Partition {
 	case PartRowHash, PartConsistent:
 		for _, id := range miss {
 			owner := rowOwner(c.cfg.Partition, id, ranks)
-			reqLists[owner] = append(reqLists[owner], id)
+			asks[owner] = append(asks[owner], id)
 		}
 	case PartColumn:
-		for p := 0; p < ranks; p++ {
-			reqLists[p] = miss
+		for p := range asks {
+			asks[p] = miss
+		}
+	}
+	rows = make(map[int64][]float32, len(miss))
+	failed = make(map[int64]error)
+	// place copies rank p's payload for asks[p] into the rows at p's columns.
+	place := func(p int, vals []float32) {
+		lo, hi := c.columns(p)
+		for k, id := range asks[p] {
+			row, ok := rows[id]
+			if !ok {
+				row = make([]float32, c.embDim)
+				rows[id] = row
+			}
+			copy(row[lo:hi], vals[k*(hi-lo):])
+		}
+	}
+	fail := func(p int, err error) {
+		err = fmt.Errorf("serve: driver %d fetch from rank %d: %w", r.driver, p, err)
+		for _, id := range asks[p] {
+			failed[id] = err
 		}
 	}
 
 	remote := 0
-	for p := 0; p < ranks; p++ {
-		if p != n.rank {
-			remote += len(reqLists[p])
+	for p, ids := range asks {
+		if p != self {
+			remote += len(ids)
 		}
 	}
-	r.ctr.localRows.Add(int64(len(reqLists[n.rank])))
+	r.ctr.localRows.Add(int64(len(asks[self])))
 	r.ctr.remoteRows.Add(int64(remote))
 
-	// Local fast path: every missed row lives in the driver's own shard, so
-	// resolve straight from shard storage — no sparse packing, no exchange,
-	// no follower conscription. Stats().Packed staying 0 is the observable
-	// form of this elision.
-	if remote == 0 {
-		out := make(map[int64][]float32, len(reqLists[n.rank]))
-		n.rs.mu.RLock()
-		for _, id := range reqLists[n.rank] {
-			src, err := n.rs.shard.payload(id)
-			if err != nil {
-				n.rs.mu.RUnlock()
+	rs := c.ranks[self]
+	rs.mu.RLock()
+	vals, err := rs.shard.pack(asks[self])
+	rs.mu.RUnlock()
+	if err != nil {
+		fail(self, err)
+	} else {
+		place(self, vals)
+	}
+
+	if remote > 0 {
+		r.ctr.exchanges.Add(1)
+		r.batch++
+		cm := c.cms[self]
+		var asked []int
+		for p, ids := range asks {
+			if p == self || len(ids) == 0 {
+				continue
+			}
+			if err := cm.Send(opReq, 0, p, fetchReq{Batch: r.batch, IDs: ids}); err != nil {
+				fail(p, err)
+				continue
+			}
+			asked = append(asked, p)
+		}
+		for _, p := range asked {
+			if vals, err := c.await(cm, p, r.batch, len(asks[p])); err != nil {
+				fail(p, err)
+			} else {
+				place(p, vals)
+			}
+		}
+	}
+	for id := range failed {
+		delete(rows, id)
+	}
+	return rows, failed
+}
+
+// columns is the [lo, hi) column range rank p's shard holds of every row.
+func (c *Cluster) columns(p int) (lo, hi int) {
+	if c.cfg.Partition == PartColumn {
+		return partition.ColumnWise{}.Range(c.embDim, c.cfg.Ranks, p)
+	}
+	return 0, c.embDim
+}
+
+// await receives owner p's reply to batch, skipping stale replies to
+// batches that already gave up on p, and returns its payload of n rows.
+func (c *Cluster) await(cm *collective.Communicator, p int, batch int64, n int) ([]float32, error) {
+	for {
+		msg, err := cm.Recv(opRows, 0, p)
+		if err != nil {
+			return nil, err
+		}
+		resp, ok := msg.(fetchResp)
+		if !ok {
+			return nil, fmt.Errorf("reply payload %T", msg)
+		}
+		if resp.Batch != batch {
+			continue
+		}
+		if resp.Err != "" {
+			return nil, errors.New(resp.Err)
+		}
+		lo, hi := c.columns(p)
+		vals := resp.Vals
+		if c.cfg.Codec != nil {
+			start := time.Now()
+			if _, vals, err = c.cfg.Codec.DecodeShard(resp.Wire, n, hi-lo, nil, nil); err != nil {
 				return nil, err
 			}
-			out[id] = append([]float32(nil), src...)
+			c.recs[cm.Rank()].CodecOp(opRows, "decode", 0, 0, time.Since(start))
 		}
-		n.rs.mu.RUnlock()
-		return out, nil
-	}
-
-	if err := c.broadcastCtl(n, ctlExchange); err != nil {
-		return nil, fmt.Errorf("serve: driver %d exchange broadcast: %w", n.plane, err)
-	}
-	r.ctr.exchanges.Add(1)
-	arena, err := c.exchange(n, reqLists)
-	if err != nil {
-		return nil, fmt.Errorf("serve: driver %d exchange: %w", n.plane, err)
-	}
-
-	out := make(map[int64][]float32, len(miss))
-	var recv tensor.Sparse
-	switch c.cfg.Partition {
-	case PartRowHash, PartConsistent:
-		// Sender p's arena shard holds reqLists[p]'s rows in request order.
-		for p := 0; p < ranks; p++ {
-			arena.ShardView(p, &recv)
-			for k, id := range reqLists[p] {
-				out[id] = append([]float32(nil), recv.Row(k)...)
-			}
+		if len(vals) != n*(hi-lo) {
+			return nil, fmt.Errorf("reply carries %d values, want %d rows x %d", len(vals), n, hi-lo)
 		}
-	case PartColumn:
-		// Every rank answered the same miss list with its column slice;
-		// reassemble each row at the deterministic column offsets.
-		for k, id := range miss {
-			row := make([]float32, c.embDim)
-			for p := 0; p < ranks; p++ {
-				lo, hi := (partition.ColumnWise{}).Range(c.embDim, ranks, p)
-				arena.ShardView(p, &recv)
-				copy(row[lo:hi], recv.Row(k))
-			}
-			out[id] = row
-		}
+		return vals, nil
 	}
-	return out, nil
 }
 
 // reply computes each live request's answer from the resolved rows. All
 // predict requests share one batched trunk forward; Infer is row-independent,
 // so batching preserves bit-identity with a per-request forward.
-func (c *Cluster) reply(n *node, live []*request, rows map[int64][]float32) {
+func (c *Cluster) reply(r *Router, live []*request, rows map[int64][]float32) {
 	var predicts []*request
 	for _, req := range live {
 		if req.kind == kindPredict {
@@ -449,8 +495,7 @@ func (c *Cluster) reply(n *node, live []*request, rows map[int64][]float32) {
 		return
 	}
 
-	tr := c.tracers[n.rank]
-	span := tr.Begin(trace.TrackCompute, "serve/fwd", -1)
+	span := c.tracers[r.driver].Begin(trace.TrackCompute, "serve/fwd", -1)
 	defer span.End()
 
 	// Mean-pool each window with exactly nn.Embedding.PoolLookup's
@@ -469,9 +514,10 @@ func (c *Cluster) reply(n *node, live []*request, rows map[int64][]float32) {
 			}
 		}
 	}
-	n.rs.mu.RLock()
-	trunk := n.rs.trunk
-	n.rs.mu.RUnlock()
+	rs := c.ranks[r.driver]
+	rs.mu.RLock()
+	trunk := rs.trunk
+	rs.mu.RUnlock()
 	probs, err := trunk.Infer(pooled)
 	if err != nil {
 		for _, req := range predicts {

@@ -2,26 +2,26 @@
 // service — the serving counterpart of the trainer. The mechanisms are the
 // paper's, repurposed: the embedding table is partitioned across ranks
 // (row-hash, consistent-hash, or column-wise, §4.1.1), remote rows are
-// resolved through the Communicator's sparse AlltoAll, and repeated ids
-// within a micro-batch are deduplicated before the exchange — the serving
-// analogue of Algorithm 1's gradient coalescing. The dense trunk is small
-// and replicated, so only the sparse lookups cross ranks.
+// fetched from the ranks that own them over the Communicator's self-healing
+// point-to-point streams, and repeated ids within a micro-batch are
+// deduplicated before the fetch — the serving analogue of Algorithm 1's
+// gradient coalescing. The dense trunk is small and replicated, so only the
+// sparse lookups cross ranks.
 //
 // Topology: a configurable driver set fronts the cluster. Each driver rank
 // (ranks 0..Drivers-1) runs its own ingress — an independent admission
-// queue, micro-batching window with dedup, and hot-row LRU — and conscripts
-// the other ranks only when a batch misses rows it does not hold. The
-// control protocol is the same stepped SPMD exchange whichever driver runs
-// it: one []int64 AlltoAll of requested ids followed by one sparse AlltoAll
-// of the rows under monotonically stepped (op, step) tags. Concurrent
-// drivers never collide because each driver's exchanges live in their own
-// tag plane: plane d's per-rank Communicators are built with
-// collective.WithEpoch(d), so two drivers conscripting the same ranks at
-// the same moment address disjoint (op, step) spaces. Every rank therefore
-// runs one driver loop (if it is a driver) plus one follower loop per
-// remote driver, all over the same Transport — the fabric can be the
-// in-process world, real TCP sockets, or the chaos wrapper with no code
-// change.
+// queue, micro-batching window with dedup, and hot-row LRU — and contacts
+// other ranks only for the rows a batch misses and they own. The fetch
+// protocol is owner-addressed request/response: the driver sends each owner
+// one {batch id, ids} request on "serve/req", sends to every owner before
+// waiting on any, then takes one {batch id, rows, error} reply per owner on
+// "serve/rows". Every rank runs one stateless handler loop per remote
+// driver that answers those requests from its shard. Streams are keyed by
+// sender, so concurrent drivers never share one, and a reply whose batch id
+// is stale (its batch gave up on a receive timeout) is discarded. A dead
+// rank fails only the requests that need its rows. Everything rides one
+// Communicator per rank over one Transport — the in-process world, real TCP
+// sockets, or the chaos wrapper with no code change.
 //
 // On top of the driver set sits the hot-shard replication manager (hotSet):
 // an access-frequency tracker promotes Zipf-hot rows into a replica set
@@ -70,8 +70,8 @@ type Config struct {
 	Ranks int
 	// Drivers is how many ranks front the cluster as ingresses (default 1,
 	// clamped to Ranks). Ranks 0..Drivers-1 each run an independent
-	// admission queue, micro-batcher, and hot-row LRU; their conscripted
-	// exchanges ride per-driver tag planes so they never collide.
+	// admission queue, micro-batcher, and hot-row LRU, and fetch remote rows
+	// straight from their owners.
 	Drivers int
 	// Partition selects the embedding layout: PartRowHash (default),
 	// PartColumn, or PartConsistent.
@@ -107,10 +107,10 @@ type Config struct {
 	Trace bool
 	// TraceClock overrides the trace clock (tests); nil uses wall time.
 	TraceClock trace.Clock
-	// Codec, when non-nil, compresses the row-fetch AlltoAll wire streams
-	// between ranks (DESIGN.md §12). Lossless codecs keep responses
-	// bit-identical to the raw wire; lossy ones would perturb served
-	// embeddings and are rejected by the facade.
+	// Codec, when non-nil, compresses the row-fetch replies between ranks
+	// (DESIGN.md §12). Lossless codecs keep responses bit-identical to the
+	// raw wire; lossy ones would perturb served embeddings and are rejected
+	// by the facade.
 	Codec collective.SparseCodec
 }
 
@@ -159,37 +159,33 @@ type Cluster struct {
 	routers    []*Router
 	nextRouter atomic.Int64
 
-	// ranks holds each rank's shard and trunk, shared by every tag plane's
-	// node on that rank and rebuilt in place on reload.
+	// ranks holds each rank's shard and trunk, rebuilt in place on reload;
+	// cms holds each rank's one Communicator, shared by its driver (if any)
+	// and its handlers.
 	ranks []*rankState
+	cms   []*collective.Communicator
 
 	// hot is the cluster-wide replication manager; nil when HotRows == 0.
 	hot *hotSet
 
 	vocab, embDim int
 
-	// pending hands the next checkpoint to the reload rendezvous.
-	pendingMu sync.Mutex
-	pending   *checkpoint.Checkpoint
-
-	// reloadMu serializes Reload calls; rv is the cluster-wide quiesce
-	// point every plane member joins before the rebuild.
+	// reloadMu serializes Reload calls.
 	reloadMu sync.Mutex
-	rv       *rendezvous
 
 	// Per-rank instrumentation, indexed by fabric rank and shared by that
-	// rank's communicators across all tag planes (both are concurrency-safe).
+	// rank's driver and handlers (both are concurrency-safe).
 	recs    []*metrics.OpRecorder
 	tracers []*trace.Recorder
 
 	// Cluster-level counters; per-driver counters live on each Router.
 	packed, reloads atomic.Int64
 
-	closeOnce sync.Once
-	closeCh   chan struct{}
-	wg        sync.WaitGroup
+	closeOnce         sync.Once
+	closeCh           chan struct{}
+	drivers, handlers sync.WaitGroup
 
-	// errMu guards the first fatal per-rank error.
+	// errMu guards the first handler error.
 	errMu sync.Mutex
 	err   error
 }
@@ -216,16 +212,15 @@ type Stats struct {
 	Drivers int
 	// Requests admitted, split into Lookups and Predicts.
 	Requests, Lookups, Predicts int64
-	// Batches processed; Exchanges is how many needed a cross-rank
-	// conscription (a batch satisfied by cache + replicas + local shard
-	// skips it).
+	// Batches processed; Exchanges is how many needed rows from another
+	// rank (a batch satisfied by cache + replicas + local shard skips it).
 	Batches, Exchanges int64
 	// Coalesced counts duplicate ids removed by within-batch dedup.
 	Coalesced int64
-	// Packed counts rows packed into sparse exchange payloads across all
-	// ranks and planes. Driver-owned and hot-replicated lookups resolve
-	// straight from local storage and never pack, so a workload the
-	// ingresses can satisfy alone keeps this 0.
+	// Packed counts rows packed into fetch replies across all ranks.
+	// Driver-owned and hot-replicated lookups resolve straight from local
+	// storage and never pack, so a workload the ingresses can satisfy alone
+	// keeps this 0.
 	Packed int64
 	// LocalRows and RemoteRows count rows resolved from a driver's own
 	// shard versus fetched from peers.
@@ -308,7 +303,7 @@ func New(ck *checkpoint.Checkpoint, cfg Config) (*Cluster, error) {
 		embDim:  emb.Dim(1),
 		hot:     newHotSet(cfg.HotRows, cfg.HotPromote),
 		ranks:   make([]*rankState, cfg.Ranks),
-		rv:      newRendezvous(cfg.Drivers * cfg.Ranks),
+		cms:     make([]*collective.Communicator, cfg.Ranks),
 		recs:    make([]*metrics.OpRecorder, cfg.Ranks),
 		tracers: make([]*trace.Recorder, cfg.Ranks),
 		closeCh: make(chan struct{}),
@@ -329,32 +324,25 @@ func New(ck *checkpoint.Checkpoint, cfg Config) (*Cluster, error) {
 				opts = append(opts, trace.WithClock(cfg.TraceClock))
 			}
 			tr := trace.NewRecorder(r, opts...)
-			tr.RouteOp("serve/req", trace.TrackNetwork)
-			tr.RouteOp("serve/rows", trace.TrackNetwork)
-			tr.RouteOp("serve/ctl", trace.TrackNetwork)
+			tr.RouteOp(opReq, trace.TrackNetwork)
+			tr.RouteOp(opRows, trace.TrackNetwork)
 			c.tracers[r] = tr
 		}
+		c.cms[r] = collective.NewCommunicator(world.Rank(r),
+			collective.WithObserver(collective.MultiObserver(c.recs[r], c.tracers[r])))
 	}
 
 	c.routers = make([]*Router, cfg.Drivers)
 	for d := 0; d < cfg.Drivers; d++ {
 		c.routers[d] = newRouter(c, d, cfg.QueueDepth)
 	}
-
-	// One node per (tag plane, rank): plane d's communicators carry world
-	// epoch d, so driver d's stepped exchanges are invisible to every other
-	// plane even though all planes share each rank's Transport.
-	for d := 0; d < cfg.Drivers; d++ {
-		for r := 0; r < cfg.Ranks; r++ {
-			cm := collective.NewCommunicator(world.Rank(r),
-				collective.WithEpoch(d),
-				collective.WithObserver(collective.MultiObserver(c.recs[r], c.tracers[r])))
-			node := c.buildNode(cm, d)
-			c.wg.Add(1)
-			if r == d {
-				go func() { defer c.wg.Done(); c.driverLoop(node) }()
-			} else {
-				go func() { defer c.wg.Done(); c.followerLoop(node) }()
+	for d, r := range c.routers {
+		c.drivers.Add(1)
+		go func() { defer c.drivers.Done(); c.driverLoop(r) }()
+		for rank := 0; rank < cfg.Ranks; rank++ {
+			if rank != d {
+				c.handlers.Add(1)
+				go func() { defer c.handlers.Done(); c.handle(rank, d) }()
 			}
 		}
 	}
@@ -455,7 +443,9 @@ func (c *Cluster) FaultsInjected() map[string]int64 {
 	return c.chaos.Injected()
 }
 
-// Err returns the first fatal rank error, if any.
+// Err returns the first error a rank's handler could not absorb, if any.
+// Fetch failures are not recorded here: they go to the requests that needed
+// the missing rows.
 func (c *Cluster) Err() error {
 	c.errMu.Lock()
 	defer c.errMu.Unlock()
@@ -471,10 +461,11 @@ func (c *Cluster) fail(err error) {
 }
 
 // Reload swaps in a new checkpoint with zero downtime: every driver finishes
-// its in-flight batch, all planes quiesce at the reload rendezvous, every
-// rank rebuilds its shard and trunk from the new snapshot, and every
-// driver's LRU cache plus the whole replicated hot set are invalidated —
-// after Reload returns, every response from every ingress is computed from
+// its in-flight batch, clears its LRU cache and parks; every rank rebuilds
+// its shard and trunk from the new snapshot, the replicated hot set is
+// invalidated, and the drivers resume. No handler takes part: a parked
+// driver has no request outstanding, so no reply can straddle the swap.
+// After Reload returns, every response from every ingress is computed from
 // the new checkpoint, exactly as a cold restart would compute it. The
 // checkpoint is validated (shape agreement, same vocab/dim) before any rank
 // commits to it.
@@ -494,38 +485,30 @@ func (c *Cluster) Reload(ck *checkpoint.Checkpoint) error {
 
 	c.reloadMu.Lock()
 	defer c.reloadMu.Unlock()
-	c.pendingMu.Lock()
-	c.pending = ck
-	c.pendingMu.Unlock()
-
-	// Fan the reload to every driver; each broadcasts ctlReload on its own
-	// plane and joins the rendezvous, so every plane member quiesces.
-	reqs := make([]*reloadReq, len(c.routers))
-	for d, r := range c.routers {
-		rr := &reloadReq{done: make(chan error, 1)}
-		reqs[d] = rr
+	p := &park{resume: make(chan struct{})}
+	defer close(p.resume)
+	p.parked.Add(len(c.routers))
+	for _, r := range c.routers {
 		select {
-		case r.reloadCh <- rr:
+		case r.parkCh <- p:
 		case <-c.closeCh:
 			return ErrClosed
 		}
 	}
-	var first error
-	for _, rr := range reqs {
-		select {
-		case err := <-rr.done:
-			if err != nil && first == nil {
-				first = err
-			}
-		case <-c.closeCh:
-			return ErrClosed
+	p.parked.Wait()
+	for r, rs := range c.ranks {
+		if err := rs.load(c.cfg, r, ck); err != nil {
+			return err
 		}
 	}
-	return first
+	c.hot.invalidate()
+	c.reloads.Add(1)
+	return nil
 }
 
-// Close shuts the cluster down: pending requests are answered with ErrClosed,
-// followers are released, and the fabric is torn down. Idempotent.
+// Close shuts the cluster down: pending requests are answered with
+// ErrClosed, the drivers drain, and the fabric is torn down, which ends the
+// handlers. Idempotent.
 func (c *Cluster) Close() {
 	c.closeOnce.Do(func() {
 		for _, r := range c.routers {
@@ -533,18 +516,19 @@ func (c *Cluster) Close() {
 		}
 		close(c.closeCh)
 	})
-	c.wg.Wait()
+	c.drivers.Wait()
 	c.world.Close()
+	c.handlers.Wait()
 }
 
 // ---------------------------------------------------------------------------
 // Per-rank state.
 // ---------------------------------------------------------------------------
 
-// rankState is one rank's shard and trunk replica, shared by every tag
-// plane's node on that rank. Reads take the read lock; the reload rendezvous
-// rebuilds under the write lock while every plane is quiesced, so the lock
-// is uncontended on the serving path.
+// rankState is one rank's shard and trunk replica, read by that rank's
+// driver and handlers. Reads take the read lock; Reload rebuilds under the
+// write lock while every driver is parked, so the lock is uncontended on
+// the serving path.
 type rankState struct {
 	mu    sync.RWMutex
 	shard *shard
@@ -576,56 +560,21 @@ func (rs *rankState) load(cfg Config, rank int, ck *checkpoint.Checkpoint) error
 	return nil
 }
 
-// node is one (tag plane, rank) participant: its epoch-tagged communicator,
-// a pointer to the rank's shared state, plus the step counters that keep its
-// (op, step) tags in lockstep with its plane's driver.
-type node struct {
-	cm    *collective.Communicator
-	rank  int // fabric rank
-	plane int // driver plane (== the driver's rank)
-	rs    *rankState
-
-	ctlSeq, xSeq, reloadSeq int
-
-	// Exchange scratch, reused across conscriptions: the per-destination
-	// packed row payloads and the receive arena of the sparse AlltoAll. Only
-	// the node's own goroutine touches them.
-	send     []tensor.Sparse
-	sendPtrs []*tensor.Sparse
-	arena    collective.SparseShards
-}
-
-// step folds a monotone sequence number into the Communicator's step range.
-func step(seq int) int { return seq % (collective.MaxStep + 1) }
-
-// buildNode wires one plane member to its rank's shared state.
-func (c *Cluster) buildNode(cm *collective.Communicator, plane int) *node {
-	n := &node{cm: cm, rank: cm.Rank(), plane: plane, rs: c.ranks[cm.Rank()]}
-	n.send = make([]tensor.Sparse, c.cfg.Ranks)
-	n.sendPtrs = make([]*tensor.Sparse, c.cfg.Ranks)
-	for i := range n.send {
-		n.sendPtrs[i] = &n.send[i]
-	}
-	return n
-}
-
 // ---------------------------------------------------------------------------
 // Embedding shards.
 // ---------------------------------------------------------------------------
 
 // shard is one rank's slice of the embedding table. For the row schemes it
-// holds the full rows it owns; for column-wise it holds every row's [lo, hi)
-// column slice. fetch answers requests in request order so a driver can
-// zip ids with rows positionally.
+// holds the full rows it owns; for column-wise it holds every row's
+// ColumnWise.Range column slice. pack answers requests in request order so
+// a driver can zip ids with rows positionally.
 type shard struct {
 	part    string
-	ranks   int
 	rank    int
 	vocab   int
-	dim     int // full embedding width
-	lo, hi  int // owned column range (column-wise; [0, dim) for row schemes)
+	width   int // columns held per row (the full width for row schemes)
 	rows    map[int64][]float32
-	columns *tensor.Dense // [vocab x (hi-lo)] (column-wise)
+	columns *tensor.Dense // [vocab x width] (column-wise)
 }
 
 // rowOwner returns the rank holding id's full row under a row scheme.
@@ -638,7 +587,7 @@ func rowOwner(part string, id int64, ranks int) int {
 
 func newShard(emb *tensor.Dense, part string, ranks, rank int) (*shard, error) {
 	vocab, dim := emb.Dim(0), emb.Dim(1)
-	s := &shard{part: part, ranks: ranks, rank: rank, vocab: vocab, dim: dim, lo: 0, hi: dim}
+	s := &shard{part: part, rank: rank, vocab: vocab, width: dim}
 	switch part {
 	case PartRowHash, PartConsistent:
 		s.rows = make(map[int64][]float32)
@@ -649,7 +598,7 @@ func newShard(emb *tensor.Dense, part string, ranks, rank int) (*shard, error) {
 		}
 	case PartColumn:
 		lo, hi := partition.ColumnWise{}.Range(dim, ranks, rank)
-		s.lo, s.hi = lo, hi
+		s.width = hi - lo
 		cols := tensor.NewDense(vocab, hi-lo)
 		for tok := 0; tok < vocab; tok++ {
 			copy(cols.Row(tok), emb.Row(tok)[lo:hi])
@@ -661,16 +610,9 @@ func newShard(emb *tensor.Dense, part string, ranks, rank int) (*shard, error) {
 	return s, nil
 }
 
-// width is the number of columns this shard contributes per row.
-func (s *shard) width() int { return s.hi - s.lo }
-
-// owner returns the rank holding id's full row (row schemes only).
-func (s *shard) owner(id int64) int { return rowOwner(s.part, id, s.ranks) }
-
 // payload returns the shard's stored values for one id without packing:
 // a direct view into shard storage, valid until the next reload. Unowned or
-// out-of-range ids are a protocol bug upstream (the router validates ids at
-// admission) and error out rather than silently serving zeros.
+// out-of-range ids error out rather than silently serving zeros.
 func (s *shard) payload(id int64) ([]float32, error) {
 	switch s.part {
 	case PartRowHash, PartConsistent:
@@ -687,226 +629,114 @@ func (s *shard) payload(id int64) ([]float32, error) {
 	}
 }
 
-// fetchInto packs the shard's payload for the requested ids into dst, one
-// sparse row per id in request order, reusing dst's backing arrays.
-//
-//embrace:hotpath
-func (s *shard) fetchInto(ids []int64, dst *tensor.Sparse) error {
-	dst.Reset()
-	dst.NumRows, dst.Dim = s.vocab, s.width()
+// pack copies the shard's payload for ids, in request order, into one fresh
+// slice — the reply a handler ships, so it never aliases shard storage that
+// a reload may replace.
+func (s *shard) pack(ids []int64) ([]float32, error) {
+	vals := make([]float32, 0, len(ids)*s.width)
 	for _, id := range ids {
 		row, err := s.payload(id)
 		if err != nil {
-			return err
-		}
-		dst.Indices = append(dst.Indices, id)
-		dst.Vals = append(dst.Vals, row...)
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Control protocol.
-// ---------------------------------------------------------------------------
-
-// Control message kinds, sent driver -> followers under "serve/ctl" within
-// one tag plane.
-const (
-	ctlExchange = iota // run one id/row AlltoAll pair
-	ctlReload          // join the reload rendezvous, then barrier
-	ctlShutdown        // exit the follower loop
-)
-
-// broadcastCtl tells every follower of this plane what happens next. One ctl
-// sequence number is consumed per broadcast on every rank, keeping tags
-// aligned. Every peer is attempted even after a send fails (the first error
-// is returned): skipping survivors would desynchronize their ctl streams
-// from the driver's, turning one dead rank into a wedged plane.
-func (c *Cluster) broadcastCtl(n *node, kind int) error {
-	st := step(n.ctlSeq)
-	n.ctlSeq++
-	var first error
-	for p := 0; p < c.cfg.Ranks; p++ {
-		if p == n.rank {
-			continue
-		}
-		if err := n.cm.Send("serve/ctl", st, p, kind); err != nil && first == nil {
-			first = err
-		}
-	}
-	if err := n.cm.Release("serve/ctl", st); err != nil && first == nil {
-		first = err
-	}
-	return first
-}
-
-// exchange runs the two-phase sparse fetch on any plane member: an AlltoAll
-// of requested ids, a local shard fetch into reused send scratch, and an
-// arena AlltoAll of the resulting rows (self shard elided from the wire).
-// The driver passes its per-rank request lists; followers pass empties. The
-// returned arena holds the per-sender shards (request order preserved) and
-// is valid until the node's next exchange.
-//
-//embrace:hotpath
-//embrace:arena
-func (c *Cluster) exchange(n *node, reqLists [][]int64) (*collective.SparseShards, error) {
-	st := step(n.xSeq)
-	n.xSeq++
-	if reqLists == nil {
-		reqLists = make([][]int64, c.cfg.Ranks) //embrace:allow hotalloc follower conscription is off the request fast path
-	}
-	got, err := collective.AllToAllVia(n.cm, "serve/req", st, reqLists)
-	if err != nil {
-		return nil, err
-	}
-	packed := 0
-	n.rs.mu.RLock()
-	for p := range n.send {
-		if err := n.rs.shard.fetchInto(got[p], &n.send[p]); err != nil {
-			n.rs.mu.RUnlock()
 			return nil, err
 		}
-		packed += len(got[p])
+		vals = append(vals, row...)
 	}
-	n.rs.mu.RUnlock()
-	c.packed.Add(int64(packed))
-	if err := n.cm.AlltoAllSparseCodec("serve/rows", st, n.sendPtrs, &n.arena, c.cfg.Codec, collective.RowsWhole); err != nil {
-		return nil, err
-	}
-	return &n.arena, nil
+	return vals, nil
 }
 
-// reloadRendezvous quiesces this plane member at the cluster-wide
-// rendezvous (the last arrival rebuilds every rank and invalidates the hot
-// set), then barriers the plane so its tag stream resumes in lockstep.
-// Called on every plane member, drivers included.
-func (c *Cluster) reloadRendezvous(n *node) error {
-	if err := c.rv.await(c.rebuildAll, c.closeCh); err != nil {
-		return err
-	}
-	st := step(n.reloadSeq)
-	n.reloadSeq++
-	return n.cm.Barrier("serve/reload", st)
+// ---------------------------------------------------------------------------
+// Owner-addressed fetch protocol.
+// ---------------------------------------------------------------------------
+
+// The fetch protocol's two ops. Both use step 0 forever: each (sender, op)
+// pair is one ordered stream, so a driver's requests to an owner and that
+// owner's replies to the driver are matched by order, and the batch id in
+// every message only has to tell a live reply from a stale one.
+const (
+	opReq  = "serve/req"
+	opRows = "serve/rows"
+)
+
+// fetchReq asks one owner for its payload of IDs on behalf of a driver's
+// batch.
+type fetchReq struct {
+	Batch int64
+	IDs   []int64
 }
 
-// rebuildAll swaps every rank onto the pending checkpoint and flushes the
-// replicated hot set. It runs exactly once per reload, by the rendezvous's
-// last arrival, while every driver and follower is parked — so no exchange
-// can observe a half-rebuilt cluster.
-func (c *Cluster) rebuildAll() error {
-	c.pendingMu.Lock()
-	ck := c.pending
-	c.pendingMu.Unlock()
-	if ck == nil {
-		return errors.New("serve: reload signaled with no pending checkpoint")
-	}
-	for r, rs := range c.ranks {
-		if err := rs.load(c.cfg, r, ck); err != nil {
-			return err
-		}
-	}
-	c.hot.invalidate()
-	c.reloads.Add(1)
-	return nil
+// fetchResp answers one fetchReq: the owner's payload for every requested id
+// in request order — raw in Vals, or encoded by Config.Codec in Wire — or
+// the reason the owner could not serve them in Err.
+type fetchResp struct {
+	Batch int64
+	Vals  []float32
+	Wire  []byte
+	Err   string
 }
 
-// followerLoop is one plane member's life on a non-driver rank: wait for a
-// control message from the plane's driver, obey it, repeat. Timeouts while
-// idle (when a RecvTimeout is configured) are not errors — the rank just
-// keeps listening.
-func (c *Cluster) followerLoop(n *node) {
+// SizeBytes is the payload a fetch message carries, for per-op byte
+// accounting (metrics.PayloadSize).
+func (m fetchReq) SizeBytes() int { return 8 + 8*len(m.IDs) }
+
+// SizeBytes is the payload a fetch reply carries.
+func (m fetchResp) SizeBytes() int { return 8 + 4*len(m.Vals) + len(m.Wire) + len(m.Err) }
+
+func init() {
+	comm.RegisterWireType(fetchReq{})
+	comm.RegisterWireType(fetchResp{})
+}
+
+// handle is rank's shard server for one remote driver: receive a request,
+// pack the rows it names under the rank's read lock, reply, repeat. It keeps
+// no state between requests. A request this shard cannot serve gets an
+// error reply; an idle receive timeout just means keep listening. The loop
+// ends when the fabric closes or the driver (or this rank) is down.
+func (c *Cluster) handle(rank, driver int) {
+	cm := c.cms[rank]
 	for {
-		st := step(n.ctlSeq)
-		payload, err := n.cm.Recv("serve/ctl", st, n.plane)
-		if err != nil {
-			if errors.Is(err, comm.ErrTimeout) {
-				continue // idle; same step, keep waiting
-			}
-			c.fail(fmt.Errorf("serve: rank %d plane %d ctl: %w", n.rank, n.plane, err))
-			return
+		msg, err := cm.Recv(opReq, 0, driver)
+		if errors.Is(err, comm.ErrTimeout) {
+			continue
 		}
-		n.ctlSeq++
-		if err := n.cm.Release("serve/ctl", st); err != nil {
-			c.fail(fmt.Errorf("serve: rank %d plane %d ctl: %w", n.rank, n.plane, err))
-			return
-		}
-		kind, ok := payload.(int)
-		if !ok {
-			c.fail(fmt.Errorf("serve: rank %d plane %d: ctl payload %T", n.rank, n.plane, payload))
-			return
-		}
-		switch kind {
-		case ctlExchange:
-			if _, err := c.exchange(n, nil); err != nil {
-				c.fail(fmt.Errorf("serve: rank %d plane %d exchange: %w", n.rank, n.plane, err))
-				return
+		if err == nil {
+			req, ok := msg.(fetchReq)
+			if !ok {
+				c.fail(fmt.Errorf("serve: rank %d: request payload %T from driver %d", rank, msg, driver))
+				continue
 			}
-		case ctlReload:
-			if err := c.reloadRendezvous(n); err != nil {
-				c.fail(fmt.Errorf("serve: rank %d plane %d reload: %w", n.rank, n.plane, err))
-				return
-			}
-		case ctlShutdown:
+			err = cm.Send(opRows, 0, driver, c.answer(rank, req))
+		}
+		switch {
+		case err == nil:
+		case errors.Is(err, comm.ErrClosed), errors.Is(err, comm.ErrPeerDown):
 			return
 		default:
-			c.fail(fmt.Errorf("serve: rank %d plane %d: unknown ctl kind %d", n.rank, n.plane, kind))
+			c.fail(fmt.Errorf("serve: rank %d handler for driver %d: %w", rank, driver, err))
 			return
 		}
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Reload rendezvous.
-// ---------------------------------------------------------------------------
-
-// rvGen is one generation of the rendezvous: a count of arrivals, a release
-// channel, and the rebuild's outcome every participant reads after release.
-type rvGen struct {
-	arrived int
-	done    chan struct{}
-	err     error
-}
-
-// rendezvous is the cluster-wide quiesce point of the reload protocol:
-// every plane member (Drivers x Ranks participants) arrives, the last
-// arrival runs the rebuild while everyone else is parked, and the release
-// publishes the rebuild happens-before every participant's next read — the
-// cross-plane ordering the per-plane stepped protocol alone cannot provide,
-// since concurrent drivers share no tag plane. Process-local by design: the
-// ranks of a cluster are goroutines of one process on every fabric,
-// including TCP.
-type rendezvous struct {
-	total int
-	mu    sync.Mutex
-	gen   *rvGen
-}
-
-func newRendezvous(total int) *rendezvous {
-	return &rendezvous{total: total, gen: &rvGen{done: make(chan struct{})}}
-}
-
-// await blocks until all participants of the current generation arrive. The
-// last arrival runs onLast and releases the rest; everyone returns onLast's
-// error. abort (the cluster's close channel) unblocks waiters whose
-// generation will never complete because the cluster is dying.
-func (z *rendezvous) await(onLast func() error, abort <-chan struct{}) error {
-	z.mu.Lock()
-	g := z.gen
-	g.arrived++
-	last := g.arrived == z.total
-	if last {
-		z.gen = &rvGen{done: make(chan struct{})}
+// answer packs one request's rows from rank's shard, encoding them when the
+// cluster runs a wire codec.
+func (c *Cluster) answer(rank int, req fetchReq) fetchResp {
+	resp := fetchResp{Batch: req.Batch}
+	rs := c.ranks[rank]
+	rs.mu.RLock()
+	vals, err := rs.shard.pack(req.IDs)
+	width := rs.shard.width
+	rs.mu.RUnlock()
+	if err != nil {
+		resp.Err = err.Error()
+		return resp
 	}
-	z.mu.Unlock()
-	if last {
-		g.err = onLast()
-		close(g.done)
-		return g.err
+	c.packed.Add(int64(len(req.IDs)))
+	if c.cfg.Codec == nil {
+		resp.Vals = vals
+		return resp
 	}
-	select {
-	case <-g.done:
-		return g.err
-	case <-abort:
-		return ErrClosed
-	}
+	start := time.Now()
+	resp.Wire = c.cfg.Codec.AppendShard(nil, req.IDs, vals, width, collective.RowsWhole)
+	c.recs[rank].CodecOp(opRows, "encode", 8*len(req.IDs)+4*len(vals), len(resp.Wire), time.Since(start))
+	return resp
 }

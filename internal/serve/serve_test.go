@@ -329,7 +329,7 @@ func TestOverloaded(t *testing.T) {
 
 // TestDeadlineSkipsExchange proves an admitted request whose deadline passes
 // while it waits is answered ErrDeadline and never occupies an exchange
-// slot: the batch it rode in triggers no cross-rank conscription.
+// slot: the batch it rode in triggers no cross-rank fetch.
 func TestDeadlineSkipsExchange(t *testing.T) {
 	m := nn.NewModel(7, testVocab, testDim, testHid)
 	c, err := New(ckptOf(m, 1), Config{

@@ -128,9 +128,9 @@ func stitchedReference(t *testing.T, job ElasticJob, epochs []EpochInfo) *Result
 // world sizes and chaos seeds. Run with -race.
 func TestElasticCrashShrinkRejoinBitIdentical(t *testing.T) {
 	cases := []struct{ workers, embDim int }{
-		{3, 6},   // EmbDim divides 3 and 2
-		{4, 12},  // divides 4 and 3
-		{8, 56},  // divides 8 and 7
+		{3, 6},  // EmbDim divides 3 and 2
+		{4, 12}, // divides 4 and 3
+		{8, 56}, // divides 8 and 7
 	}
 	for _, tc := range cases {
 		for _, seed := range elasticSeeds(3) {

@@ -34,8 +34,8 @@ type ServeConfig struct {
 	Ranks int
 	// Drivers is how many ranks run their own ingress — admission queue,
 	// micro-batcher, hot-row LRU (default 1, clamped to Ranks). Concurrent
-	// drivers serve independently and never collide: each one's cross-rank
-	// exchanges ride its own tag plane.
+	// drivers serve independently: each fetches remote rows straight from
+	// the ranks that own them, so drivers never wait on one another.
 	Drivers int
 	// Partition is ServeRowHash (default), ServeColumn, or ServeConsistent.
 	Partition string
@@ -165,11 +165,12 @@ type ServeStats struct {
 	Drivers int
 	// Requests admitted, split into Lookups and Predicts.
 	Requests, Lookups, Predicts int64
-	// Batches processed; Exchanges is how many conscripted remote ranks.
+	// Batches processed; Exchanges is how many fetched rows from other
+	// ranks.
 	Batches, Exchanges int64
 	// Coalesced counts duplicate ids removed by within-batch dedup.
 	Coalesced int64
-	// Packed counts rows packed into cross-rank exchange payloads; a
+	// Packed counts rows packed into cross-rank fetch replies; a
 	// workload the drivers satisfy locally (own shard, cache, or hot
 	// replicas) keeps it 0.
 	Packed int64
