@@ -37,7 +37,7 @@ var Analyzer = &analysis.Analyzer{
 // communicatorMethods are the blocking entry points of
 // collective.Communicator. Tag/Ticket/Rank/Size are pure bookkeeping.
 var communicatorMethods = map[string]bool{
-	"Send": true, "Recv": true,
+	"Send": true, "Recv": true, "Listen": true,
 	"AllReduce": true, "AllReduceWith": true, "ReduceScatter": true,
 	"Broadcast": true, "Barrier": true,
 	"SparseAllGather": true, "AlltoAllSparse": true, "AlltoAllSparseCodec": true,

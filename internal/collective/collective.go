@@ -23,8 +23,9 @@ import (
 )
 
 func init() {
-	// Tensor payloads must be registered for the TCP transport's gob
-	// framing; the in-process transport ignores registration.
+	// Tensor payloads the TCP transport carries in gob-fallback frames (a
+	// lone *tensor.Dense travels as raw bits, but may also sit inside a
+	// fallback value); the in-process transport ignores registration.
 	comm.RegisterWireType(&tensor.Dense{})
 	comm.RegisterWireType(&tensor.Sparse{})
 	comm.RegisterWireType([]*tensor.Dense{})

@@ -539,6 +539,12 @@ func (c *Communicator) sendRaw(op string, to, tag int, payload any) error {
 // absorbing duplicated and early frames. Unframed payloads (from peers not
 // using a Communicator) pass through untouched.
 func (c *Communicator) recvRaw(op string, from, tag int) (any, error) {
+	return c.recvSeq(op, from, tag, false)
+}
+
+// recvSeq is recvRaw; idle marks a listen loop's receive, whose timeout is
+// idle time rather than a fault.
+func (c *Communicator) recvSeq(op string, from, tag int, idle bool) (any, error) {
 	rs := c.recvStream(from, tag)
 	for {
 		rs.mu.Lock()
@@ -566,7 +572,7 @@ func (c *Communicator) recvRaw(op string, from, tag int) (any, error) {
 			}
 		}
 		if err != nil {
-			if kind := faultKindOf(err); kind != "" {
+			if kind := faultKindOf(err); kind != "" && !(idle && kind == "timeout") {
 				c.fault(op, kind, false)
 			}
 			return nil, fmt.Errorf("collective: %s recv from rank %d: %w", op, from, err)
@@ -619,6 +625,17 @@ func (c *Communicator) Recv(op string, step, from int) (any, error) {
 		return nil, err
 	}
 	return c.recvRaw(op, from, tag)
+}
+
+// Listen is Recv for a server loop waiting for its next request: a receive
+// timeout there means the peer had nothing to ask, so it returns the
+// comm.ErrTimeout without counting a fault.
+func (c *Communicator) Listen(op string, step, from int) (any, error) {
+	tag, err := c.Tag(op, step)
+	if err != nil {
+		return nil, err
+	}
+	return c.recvSeq(op, from, tag, true)
 }
 
 // ---------------------------------------------------------------------------

@@ -90,8 +90,8 @@ type Readmitter interface {
 // in: a per-(sender, tag) sequence number plus the payload. The transport
 // treats it as an opaque payload; the receiving Communicator uses Seq to
 // drop duplicated frames and reorder delayed ones, and metrics unwraps it
-// when sizing traffic. Exported so every layer (and gob) agrees on the one
-// envelope type.
+// when sizing traffic. Exported so every layer agrees on the one envelope
+// type; the TCP transport carries Seq in its frame header.
 type SeqFrame struct {
 	Seq     int64
 	Payload any

@@ -1,18 +1,45 @@
 // TCP transport: the same Transport contract as the in-process world, but
-// carried over real sockets with gob framing. It exists to demonstrate that
-// the collective algorithms are wire-ready — nothing in internal/collective
-// or internal/strategies knows which fabric it runs on — and to exercise the
-// serialization of every payload the trainer moves (gradients, sparse
-// tensors, token batches).
+// carried over real sockets. It exists to demonstrate that the collective
+// algorithms are wire-ready — nothing in internal/collective or
+// internal/strategies knows which fabric it runs on — and to carry every
+// payload the trainer and the serving plane move.
 //
 // Topology: a full mesh. Rank i accepts connections from every lower rank
 // and dials every higher rank, so each unordered pair shares exactly one
 // TCP connection used in both directions. One reader goroutine per
 // connection demultiplexes frames into the shared (sender, tag) mailboxes.
+//
+// Wire format: every message is one length-prefixed binary frame; the
+// sender is implied by the connection. All integers are little-endian.
+//
+//	kind   u8   payload kind; bit 7 set means a SeqFrame envelope
+//	tag    i64  mailbox tag (the dialer's rank in a hello frame)
+//	seq    i64  SeqFrame.Seq, present only when bit 7 of kind is set
+//	count  u64  element count of the body
+//	body        count elements, laid out by kind:
+//
+//	1 hello     empty; the dialer's first frame
+//	2 nil       empty; a nil payload
+//	3 float32   []float32 as raw IEEE-754 bits
+//	4 int64     []int64
+//	5 bytes     []byte
+//	6 dense     *tensor.Dense: u8 dimension count, u64 per dimension, then
+//	            the count float32 elements as raw bits
+//	7 gob       every other registered type: count bytes of one value on
+//	            the connection's persistent gob stream, so each type
+//	            descriptor is sent once per connection
+//	8 gob-restart as gob, after the sender restarted its gob stream because
+//	            an encode failed; the reader restarts its decoder first
+//
+// Raw bits keep NaN payloads, infinities and -0 exact. A body is capped at
+// 1 GiB (gob's own message limit), and a prefix alone never allocates more
+// than 1 MiB: longer bodies grow as their bytes arrive. A frame that fails
+// to decode marks its sender down, exactly like a broken connection.
 package comm
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -27,26 +54,23 @@ const (
 	dialBackoff  = 100 * time.Millisecond
 )
 
-// wireFrame is the on-the-wire envelope.
-type wireFrame struct {
-	From    int
-	Tag     int
-	Payload any
-}
-
-// RegisterWireType registers a concrete payload type for TCP transport.
-// Types sent through TCPWorld must be registered by all processes; the
-// common tensor and batch types are pre-registered by internal packages.
+// RegisterWireType registers a concrete payload type for the TCP gob
+// fallback. []float32, []int64, []byte, *tensor.Dense and nil travel as raw
+// binary frames and need no registration; every other type sent through a
+// TCP transport must be registered, under the same name, by all processes.
+// Internal packages register their own message types.
 func RegisterWireType(v any) {
 	gob.Register(v)
 }
 
 func init() {
-	// Payload types every collective uses.
+	// Fallback payload types the collectives and tests use, and the raw
+	// kinds for when one sits inside a fallback value.
 	RegisterWireType([]float32{})
 	RegisterWireType([][]float32{})
 	RegisterWireType([]int64{})
 	RegisterWireType([][]int64{})
+	RegisterWireType([]byte{})
 	RegisterWireType([]int{})
 	RegisterWireType(0)
 	RegisterWireType(0.0)
@@ -82,29 +106,23 @@ type tcpRank struct {
 
 	mu    sync.Mutex
 	conns []*tcpConn // indexed by peer rank; nil for self
-	errs  []error
 	wg    sync.WaitGroup
 }
 
-// tcpConn is one duplex peer connection. Exactly one gob encoder and one
-// gob decoder exist per connection for its whole lifetime — the handshake
-// uses the same streams as the frames, because a second decoder on the same
-// socket would lose bytes buffered by the first.
+// tcpConn is one duplex peer connection. Exactly one frame writer and one
+// frame reader exist per connection for its whole lifetime — the handshake
+// uses the same buffered streams as the frames, because a second reader on
+// the same socket would lose bytes buffered by the first.
 type tcpConn struct {
 	conn  net.Conn
 	encMu sync.Mutex
-	enc   *gob.Encoder
-	dec   *gob.Decoder
+	fw    *frameWriter // guarded by encMu
+	fr    *frameReader // the handshake's, then the reader goroutine's
 }
 
-// newTCPConn wraps a socket with its lifetime encoder/decoder pair.
+// newTCPConn wraps a socket with its lifetime frame writer and reader.
 func newTCPConn(conn net.Conn) *tcpConn {
-	return &tcpConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
-}
-
-// hello is the first frame on a dialed connection, identifying the dialer.
-type hello struct {
-	From int
+	return &tcpConn{conn: conn, fw: newFrameWriter(conn), fr: newFrameReader(conn)}
 }
 
 // NewTCPWorld builds an n-rank world connected over 127.0.0.1 TCP sockets.
@@ -180,7 +198,7 @@ func (r *tcpRank) connectMesh(addrs []string) error {
 			var tc *tcpConn
 			if err == nil {
 				tc = newTCPConn(conn)
-				err = tc.enc.Encode(hello{From: r.id})
+				err = tc.fw.writeFrame(r.id, hello{})
 			}
 			dialCh <- dialRes{peer: peer, conn: tc, err: err}
 		}(peer)
@@ -194,14 +212,17 @@ func (r *tcpRank) connectMesh(addrs []string) error {
 				return fmt.Errorf("comm: rank %d accept: %w", r.id, err)
 			}
 			tc := newTCPConn(conn)
-			var h hello
-			if err := tc.dec.Decode(&h); err != nil {
+			from, p, err := tc.fr.readFrame()
+			if err != nil {
 				return fmt.Errorf("comm: rank %d handshake: %w", r.id, err)
 			}
-			if h.From < 0 || h.From >= r.id {
-				return fmt.Errorf("comm: rank %d got handshake from invalid rank %d", r.id, h.From)
+			if _, ok := p.(hello); !ok {
+				return fmt.Errorf("comm: rank %d handshake: got %T, want hello", r.id, p)
 			}
-			r.setConn(h.From, tc)
+			if from < 0 || from >= r.id {
+				return fmt.Errorf("comm: rank %d got handshake from invalid rank %d", r.id, from)
+			}
+			r.setConn(from, tc)
 			accepts--
 			continue
 		}
@@ -231,32 +252,30 @@ func (r *tcpRank) startReaders() {
 		go func(peer int, c *tcpConn) {
 			defer r.wg.Done()
 			for {
-				var f wireFrame
-				if err := c.dec.Decode(&f); err != nil {
-					// Connection closed or broken. During a local shutdown
-					// the mailboxes are about to deliver ErrClosed; a peer
-					// dying on its own is a single-link failure the blocked
-					// receivers must hear about now, not when the whole
-					// world eventually closes.
+				tag, payload, err := c.fr.readFrame()
+				if err == nil {
+					if _, ok := payload.(hello); ok {
+						err = errors.New("comm: hello frame after the handshake")
+					}
+				}
+				if err != nil {
+					// Connection closed or broken, or the peer sent bytes
+					// that are not a frame. During a local shutdown the
+					// mailboxes are about to deliver ErrClosed; a peer
+					// failing on its own is a single-link failure the
+					// blocked receivers must hear about now, not when the
+					// whole world eventually closes. Closing our end tells
+					// the peer too.
+					c.conn.Close()
 					if !r.shutdown.Load() {
 						r.mail.markDown(peer, fmt.Errorf("rank %d connection lost: %v", peer, err))
 					}
 					return
 				}
-				if f.From != peer {
-					r.recordErr(fmt.Errorf("comm: rank %d: frame from %d on connection to %d", r.id, f.From, peer))
-					return
-				}
-				r.mail.deliver(f.From, f.Tag, f.Payload)
+				r.mail.deliver(peer, tag, payload)
 			}
 		}(peer, c)
 	}
-}
-
-func (r *tcpRank) recordErr(err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.errs = append(r.errs, err)
 }
 
 // Rank implements Transport.
@@ -265,8 +284,8 @@ func (r *tcpRank) Rank() int { return r.id }
 // Size implements Transport.
 func (r *tcpRank) Size() int { return r.size }
 
-// Send implements Transport: frames the payload with gob and writes it to
-// the peer connection. Self-sends short-circuit through the local mailbox.
+// Send implements Transport: frames the payload and writes it to the peer
+// connection. Self-sends short-circuit through the local mailbox.
 func (r *tcpRank) Send(to, tag int, payload any) error {
 	if to < 0 || to >= r.size {
 		return fmt.Errorf("%w: send to %d in world of %d", ErrRank, to, r.size)
@@ -285,7 +304,7 @@ func (r *tcpRank) Send(to, tag int, payload any) error {
 	}
 	c.encMu.Lock()
 	defer c.encMu.Unlock()
-	if err := c.enc.Encode(wireFrame{From: r.id, Tag: tag, Payload: payload}); err != nil {
+	if err := c.fw.writeFrame(tag, payload); err != nil {
 		return fmt.Errorf("comm: rank %d send to %d: %w", r.id, to, err)
 	}
 	return nil

@@ -31,6 +31,7 @@ package compress
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"embrace/internal/collective"
 )
@@ -73,6 +74,7 @@ func (DeltaRaw) Lossless() bool { return true }
 //
 //embrace:hotpath
 func (DeltaRaw) AppendShard(dst []byte, idx []int64, vals []float32, dim int, _ collective.RowClass) []byte {
+	dst = slices.Grow(dst, len(idx)*binary.MaxVarintLen64+4*len(vals))
 	prev := int64(0)
 	for _, id := range idx {
 		dst = binary.AppendUvarint(dst, zigzag(id-prev))
@@ -175,6 +177,9 @@ func (q DualQuant) AppendShard(dst []byte, idx []int64, vals []float32, dim int,
 	// round-to-nearest quantization errs by at most ε per element.
 	stepF := 2 * q.Eps(class)
 	step := float64(stepF)
+	// Room for every row escaping to raw bits. A quantized value outgrows
+	// its 4 raw bytes only past 2^27 steps, so this is almost always enough.
+	dst = slices.Grow(dst, 4+len(idx)*binary.MaxVarintLen64+4*len(vals))
 	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(stepF))
 	prev := int64(0)
 	for r, id := range idx {

@@ -252,3 +252,37 @@ func TestShardCrashIsolated(t *testing.T) {
 		t.Fatal("Close wedged after shard crash")
 	}
 }
+
+// TestIdleHandlerNoFaults leaves a 2-rank cluster with a short RecvTimeout
+// idle for several timeout periods. Each shard handler's listen times out
+// every period; that is idle time, not a fault, so serve/req must show no
+// fatal faults, and a lookup afterwards still answers.
+func TestIdleHandlerNoFaults(t *testing.T) {
+	const (
+		ranks   = 2
+		timeout = 10 * time.Millisecond
+	)
+	m := nn.NewModel(45, testVocab, testDim, testHid)
+	c, err := New(ckptOf(m, 1), Config{
+		Ranks: ranks, Partition: PartRowHash, MaxBatch: 1, RecvTimeout: timeout,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	time.Sleep(8 * timeout)
+	if got := c.Stats().CommPerOp[opReq].FaultsFatal; got != 0 {
+		t.Fatalf("%s recorded %d fatal faults on an idle cluster, want 0", opReq, got)
+	}
+	id := int64(0)
+	for rowOwner(PartRowHash, id, ranks) == 0 {
+		id++
+	}
+	got, err := c.Lookup(context.Background(), []int64{id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rowsEqual(got, reference{m}.lookup([]int64{id})) {
+		t.Fatalf("lookup %d after idling returned wrong row", id)
+	}
+}

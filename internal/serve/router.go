@@ -496,7 +496,6 @@ func (c *Cluster) reply(r *Router, live []*request, rows map[int64][]float32) {
 	}
 
 	span := c.tracers[r.driver].Begin(trace.TrackCompute, "serve/fwd", -1)
-	defer span.End()
 
 	// Mean-pool each window with exactly nn.Embedding.PoolLookup's
 	// arithmetic: accumulate row*inv in window order.
@@ -519,6 +518,9 @@ func (c *Cluster) reply(r *Router, live []*request, rows map[int64][]float32) {
 	trunk := rs.trunk
 	rs.mu.RUnlock()
 	probs, err := trunk.Infer(pooled)
+	// End the span before answering, so a caller holding its answer also
+	// sees the span.
+	span.End()
 	if err != nil {
 		for _, req := range predicts {
 			req.done <- response{err: err}

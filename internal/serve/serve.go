@@ -694,7 +694,7 @@ func init() {
 func (c *Cluster) handle(rank, driver int) {
 	cm := c.cms[rank]
 	for {
-		msg, err := cm.Recv(opReq, 0, driver)
+		msg, err := cm.Listen(opReq, 0, driver)
 		if errors.Is(err, comm.ErrTimeout) {
 			continue
 		}

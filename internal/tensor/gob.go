@@ -6,10 +6,11 @@ import (
 	"fmt"
 )
 
-// Wire encoding for the tensor types, used by the TCP transport. Dense keeps
-// its fields unexported, so it provides explicit GobEncode/GobDecode; Sparse
-// additionally round-trips its coalesced flag, which gob would otherwise
-// drop.
+// Gob encoding for the tensor types, used wherever a tensor sits inside a
+// gob value, such as the TCP transport's fallback frames (a lone Dense
+// travels there as raw bits instead). Dense keeps its fields unexported, so
+// it provides explicit GobEncode/GobDecode; Sparse additionally round-trips
+// its coalesced flag, which gob would otherwise drop.
 
 type denseWire struct {
 	Shape []int
